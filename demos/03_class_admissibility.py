@@ -14,6 +14,7 @@ CASES = [
     (2, 0, 4, "refuted: g/g_a = 4 does not divide 2"),
     (2, 15, 20, "refuted: h = 4 does not divide 14"),
     (2, 6, 16, "refuted by the Jacobi condition (odd parts pinned to 3 mod 8)"),
+    (3, 10, 24, "refuted by the Jacobi condition (k_6 = 5 mod 12, so (3/k_6) = -1)"),
     (2, 2, 18, "admissible, yet its first pseudoprime lies beyond 10^8"),
     (3, 0, 9, "base 3: g/g_a = 9 does not divide 3"),
 ]

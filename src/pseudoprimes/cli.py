@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import density, sieve
@@ -50,10 +51,10 @@ def _group(text: str) -> density.AbelianPGroup:
 
 
 def _rational(value: Fraction) -> str:
-    return (
-        f"{value.numerator}/{value.denominator} "
-        f"{sieve.format_fraction(value.numerator, value.denominator)}"
-    )
+    # Decimal renders integers of any length; str() stops at the
+    # interpreter's int-to-str digit limit (4300 digits by default).
+    num, den = value.numerator, value.denominator
+    return f"{Decimal(num)}/{Decimal(den)} {sieve.format_fraction(num, den)}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,25 +73,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--limit", type=_integer, required=True)
     p_count.add_argument("--segments", type=_integer, default=1)
     p_count.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_count.add_argument("--jacobi-bound", type=_integer, default=sieve.DEFAULT_JACOBI_BOUND)
 
     p_even = psub.add_parser("even", help="list the even base-2 pseudoprimes up to a limit")
     p_even.add_argument("--limit", type=_integer, required=True)
-    p_even.add_argument("--nine-filter", choices=("mod9", "gcd2145", "none"), default="mod9")
     p_even.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_check = psub.add_parser("class-check", help="admissibility conditions for one class")
     p_check.add_argument("--base", type=_integer, default=2)
     p_check.add_argument("--mod", type=_integer, required=True)
     p_check.add_argument("--class", dest="residue", type=_integer, required=True)
-    p_check.add_argument("--jacobi-bound", type=_integer, default=sieve.DEFAULT_JACOBI_BOUND)
     p_check.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_empty = psub.add_parser("empty-classes", help="scan all moduli up to --mod for empty classes")
     p_empty.add_argument("--base", type=_integer, default=2)
     p_empty.add_argument("--mod", type=_integer, required=True)
     p_empty.add_argument("--limit", type=_integer, required=True)
-    p_empty.add_argument("--jacobi-bound", type=_integer, default=sieve.DEFAULT_JACOBI_BOUND)
     p_empty.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_ingest = psub.add_parser("ingest", help="classify an external sorted pseudoprime list")
@@ -98,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--mod", type=_integer, required=True)
     p_ingest.add_argument("--base", type=_integer, default=2)
     p_ingest.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ingest.add_argument("--jacobi-bound", type=_integer, default=sieve.DEFAULT_JACOBI_BOUND)
 
     ord_ = top.add_parser("ordowski", help="divisor-base pseudoprime densities")
     osub = ord_.add_subparsers(dest="command", required=True)
@@ -135,13 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_psp(args: argparse.Namespace) -> int:
     if args.command == "count":
-        table = sieve.count_psp_table(
-            args.base, args.mod, [args.limit], segments=max(1, args.segments)
-        )
-        sys.stdout.write(sieve.emit_table(table, args.format, args.jacobi_bound))
+        table = sieve.count_psp_table(args.base, args.mod, [args.limit], segments=args.segments)
+        sys.stdout.write(sieve.emit_table(table, args.format))
     elif args.command == "even":
-        nine = None if args.nine_filter == "none" else args.nine_filter
-        values = sieve.enumerate_even_psp(args.limit, nine)
+        values = sieve.enumerate_even_psp(args.limit)
         if args.format == "json":
             sys.stdout.write(json.dumps(values) + "\n")
         else:
@@ -149,7 +142,7 @@ def _run_psp(args: argparse.Namespace) -> int:
     elif args.command == "class-check":
         if not 0 <= args.residue < args.mod:
             raise ValueError("--class must lie in [0, --mod)")
-        report = sieve.class_conditions(args.base, args.residue, args.mod, args.jacobi_bound)
+        report = sieve.class_conditions(args.base, args.residue, args.mod)
         fields = {
             "a": report.a,
             "r": report.r,
@@ -170,7 +163,7 @@ def _run_psp(args: argparse.Namespace) -> int:
             )
             sys.stdout.write(text + "\n")
     elif args.command == "empty-classes":
-        found = sieve.scan_empty_classes(args.base, args.mod, args.limit, args.jacobi_bound)
+        found = sieve.scan_empty_classes(args.base, args.mod, args.limit)
         if args.format == "json":
             rows = [
                 {
@@ -190,7 +183,7 @@ def _run_psp(args: argparse.Namespace) -> int:
     elif args.command == "ingest":
         with open(args.input, "r", encoding="utf-8") as stream:
             table = sieve.ingest_psp_list(stream, args.mod, args.base)
-        sys.stdout.write(sieve.emit_table(table, args.format, args.jacobi_bound))
+        sys.stdout.write(sieve.emit_table(table, args.format))
     return 0
 
 

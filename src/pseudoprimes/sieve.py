@@ -7,10 +7,9 @@ The admissibility test for a class r mod m and base a works with
 g = gcd(r, m), g_a the largest divisor of g coprime to a, and
 h = gcd(ord(a mod g_a), m).  A class containing a base-a pseudoprime must
 satisfy h | r-1 and g/g_a | a, and when g is even the class must contain
-some k whose coprime-to-2a part k' has Jacobi symbol (a/k') = +1.  The first
-two conditions are decidable; the third is searched within a bound, with an
-exact refutation for the one base-2 family where every candidate's odd part
-is pinned to +-3 mod 8.
+some k whose coprime-to-2a part k' has Jacobi symbol (a/k') = +1.  All three
+conditions are decided exactly: the third is a finite check, because on
+numbers coprime to 2a the symbol (a/.) is periodic modulo 4a.
 """
 
 from __future__ import annotations
@@ -18,15 +17,14 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
 from . import bulk
-from .arith import coprime_part, is_prime, jacobi, multiplicative_order
+from .arith import coprime_part, factor, is_prime, jacobi, multiplicative_order
 from .errors import InputFormatError
 
-DEFAULT_JACOBI_BOUND = 1 << 20
 _CHUNK = 1 << 22
 
 
@@ -64,6 +62,9 @@ class ResidueClass:
 
 
 class JacobiCondition(enum.Enum):
+    """Verdict of the Jacobi condition.  UNKNOWN is never returned: the
+    condition is decided exactly."""
+
     HOLDS = "holds"
     FAILS = "fails"
     UNKNOWN = "unknown"
@@ -72,9 +73,9 @@ class JacobiCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class ClassConditionReport:
-    """Verdicts of the three necessity conditions for base-a pseudoprimes in
-    r mod m.  `admissible` means no condition refutes the class; an UNKNOWN
-    Jacobi search counts as refuted."""
+    """Exact verdicts of the three necessity conditions for base-a
+    pseudoprimes in r mod m.  `admissible` means no condition refutes the
+    class."""
 
     a: int
     r: int
@@ -95,30 +96,43 @@ class ClassConditionReport:
         )
 
 
-def _jacobi_exact_refutation(a: int, r: int, m: int) -> bool:
-    """True when provably no k = r (mod m) has (a / k_{2a}) = +1.
+def _jacobi_holds(a: int, r: int, m: int) -> bool:
+    """Whether some k = r (mod m) has (a / k') = +1, k' the part of k coprime
+    to 2a.
 
-    Only the base-2 family is decided: if v2(r) < v2(m) every k in the class
-    has 2-adic valuation v2(r), and if additionally v2(m) - v2(r) >= 3 the odd
-    part of k is a fixed class mod 8; pinned to 3 or 5 it forces (2/odd) = -1.
+    Write k = Q k' with Q made of the primes q | 2a.  Where v_q(r) < v_q(m),
+    every k in the class has v_q(k) = v_q(r); any other q is free, with
+    v_q(k) >= v_q(m).  So g = gcd(Q, m) is the same for every k, and
+    k' = (r/g) u^-1 (mod m/g) where u = Q/g runs over the products of the
+    free primes; nothing else constrains k' but gcd(k', 2a) = 1.
+
+    On such k', (a / k') = chi(k') for the primitive character chi of
+    conductor f = |disc Q(sqrt(a0))|, a0 the squarefree part of a.  The class
+    fixes k' only modulo t = gcd(m/g, 4a).  If f does not divide t, chi takes
+    both signs there.  Otherwise chi(k') = chi(r/g) chi(u), which is +1 for
+    some u unless chi(r/g) = -1 and chi(q) = +1 for every free q.
     """
-    if a != 2 or r == 0:
-        return False
-    v = (r & -r).bit_length() - 1
-    f = (m & -m).bit_length() - 1
-    if v < 1 or v >= f or f - v < 3:
-        return False
-    return (r >> v) % 8 in (3, 5)
+    a_factors = factor(a).factors
+    m_2a = m // coprime_part(m, 2 * a)  # the part of m made of primes of 2a
+    g = gcd(r, m_2a)
+    t = gcd(m_2a // g, 4 * a)
+    a0 = prod(p for p, e in a_factors if e % 2)
+    f = a0 if a0 % 4 == 1 else 4 * a0
+    if t % f:
+        return True
+
+    def chi(x: int) -> int:  # x coprime to f; x + f is odd when x is even
+        return jacobi(a0, x if x % 2 else x + f)
+
+    free = [q for q in {2, *(p for p, _ in a_factors)} if (m_2a // g) % q]
+    return chi(r // g % t) == 1 or any(chi(q) == -1 for q in free)
 
 
-def class_conditions(
-    a: int, r: int, m: int, jacobi_search_bound: int = DEFAULT_JACOBI_BOUND
-) -> ClassConditionReport:
-    """Evaluate the three necessity conditions for the class r mod m, base a.
+def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
+    """Decide the three necessity conditions for the class r mod m, base a.
 
-    The Jacobi condition is scanned over k = r, r+m, r+2m, ... considering at
-    most jacobi_search_bound candidates with k_{2a} > 1; HOLDS on the first
-    symbol +1, FAILS only with an exact refutation, UNKNOWN on exhaustion.
+    The Jacobi condition applies when g = gcd(r, m) is even; it HOLDS when
+    some k = r (mod m) has (a / k_{2a}) = +1 and FAILS otherwise.
     """
     if m < 1:
         raise ValueError("modulus must be >= 1")
@@ -133,24 +147,10 @@ def class_conditions(
     cond_u = a % (g // g_a) == 0
     if g % 2 == 1:
         cj = JacobiCondition.NOT_APPLICABLE
-    elif _jacobi_exact_refutation(a, r, m):
-        cj = JacobiCondition.FAILS
+    elif _jacobi_holds(a, r, m):
+        cj = JacobiCondition.HOLDS
     else:
-        cj = JacobiCondition.UNKNOWN
-        seen = 0
-        k = r
-        raw_cap = jacobi_search_bound * 64
-        for _ in range(raw_cap):
-            if k > 0:
-                k2a = coprime_part(k, 2 * a)
-                if k2a > 1:
-                    seen += 1
-                    if jacobi(a % k2a, k2a) == 1:
-                        cj = JacobiCondition.HOLDS
-                        break
-                    if seen >= jacobi_search_bound:
-                        break
-            k += m
+        cj = JacobiCondition.FAILS
     return ClassConditionReport(a, r, m, g, g_a, h, cond_h, cond_u, cj)
 
 
@@ -295,7 +295,13 @@ def count_psp_in_classes(
 def count_psp_table(a: int, m: int, limits, segments: int = 1) -> CountTable:
     """Full count table at several limits, scanned in `segments` disjoint
     pieces and merged; the result is independent of the segmentation."""
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
+    if segments < 1:
+        raise ValueError("segments must be >= 1")
     limits = sorted(int(x) for x in limits)
+    if not limits:
+        raise ValueError("need at least one limit")
     top = limits[-1]
     bounds = [2 + (top - 1) * i // segments for i in range(segments)] + [top + 1]
     table: CountTable | None = None
@@ -305,7 +311,6 @@ def count_psp_table(a: int, m: int, limits, segments: int = 1) -> CountTable:
         values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
         part = CountTable.from_values(a, m, limits, values, ((lo, hi),))
         table = part if table is None else table.merge(part)
-    assert table is not None
     return table
 
 
@@ -313,46 +318,37 @@ def count_psp_table(a: int, m: int, limits, segments: int = 1) -> CountTable:
 # even pseudoprimes
 
 
-def _even_candidates(wlo: int, whi: int, nine_filter: str | None) -> np.ndarray:
+def _even_candidates(wlo: int, whi: int) -> np.ndarray:
     """Candidates for even base-2 pseudoprimes in [wlo, whi): the classes
-    2 and 14 mod 16, optionally thinned by a validated exclusion."""
+    2 and 14 mod 16, less the multiples of 3, 5, 11 and 13."""
     first2 = wlo + (-(wlo - 2)) % 16
     first14 = wlo + (-(wlo - 14)) % 16
     cand = np.concatenate(
         [np.arange(first2, whi, 16, dtype=np.uint64), np.arange(first14, whi, 16, dtype=np.uint64)]
     )
     cand.sort()
-    if nine_filter == "mod9":
-        cand = cand[cand % 9 != 0]
-    elif nine_filter == "gcd2145":
-        cand = cand[np.gcd(cand, np.uint64(2145)) == 1]
-    elif nine_filter is not None:
-        raise ValueError("nine_filter must be 'mod9', 'gcd2145', or None")
-    return cand
+    return cand[np.gcd(cand, np.uint64(2145)) == 1]
 
 
-def enumerate_even_psp(limit: int, nine_filter: str | None = "mod9") -> list[int]:
+def enumerate_even_psp(limit: int) -> list[int]:
     """All even base-2 pseudoprimes <= limit, ascending.
 
     Candidates are restricted to n = 2 or 14 (mod 16): an even pseudoprime is
     2 mod 4, and the classes 6 and 10 mod 16 are refuted by the Jacobi
-    condition.  The optional exclusion of multiples of 9 (or of n sharing a
-    factor with 2145) removes classes with no pseudoprimes at all; pass
-    nine_filter=None to run without it and compare.
+    condition.  They are also coprime to 2145 = 3*5*11*13: 2^(n-1) = 1
+    (mod n/2) with n-1 odd, so every prime p | n/2 has odd ord_p(2), and 3, 5,
+    11 and 13 have even order.
     """
     if limit >= bulk.VECTOR_MOD_LIMIT:
-        out: list[int] = []
-        for n in range(18, limit + 1, 2):
-            if n % 16 in (2, 14) and (nine_filter != "mod9" or n % 9):
-                if nine_filter == "gcd2145" and gcd(n, 2145) != 1:
-                    continue
-                if pow(2, n, n) == 2:
-                    out.append(n)
-        return out
+        return [
+            n
+            for n in range(18, limit + 1, 2)
+            if n % 16 in (2, 14) and gcd(n, 2145) == 1 and pow(2, n, n) == 2
+        ]
     found: list[int] = []
     for wlo in range(4, limit + 1, _CHUNK):
         whi = min(wlo + _CHUNK, limit + 1)
-        cand = _even_candidates(wlo, whi, nine_filter)
+        cand = _even_candidates(wlo, whi)
         if cand.size == 0:
             continue
         hit = bulk.powmod_vector(2, cand, cand) == 2
@@ -385,22 +381,18 @@ class EmptyClass:
     predicted_by_lemma: bool
 
 
-def scan_empty_classes(
-    a: int,
-    max_mod: int,
-    limit: int,
-    jacobi_search_bound: int = DEFAULT_JACOBI_BOUND,
-) -> list[EmptyClass]:
+def scan_empty_classes(a: int, max_mod: int, limit: int) -> list[EmptyClass]:
     """Every class r mod m (2 <= m <= max_mod) with no base-a pseudoprime
-    <= limit, annotated with whether the admissibility conditions refute it
-    (an UNKNOWN Jacobi search counts as refuted)."""
+    <= limit, annotated with whether the admissibility conditions refute it."""
+    if max_mod < 2:
+        raise ValueError("max_mod must be >= 2")
     values = psp_values(a, limit)
     out: list[EmptyClass] = []
     for m in range(2, max_mod + 1):
         tally = np.bincount((values % np.uint64(m)).astype(np.int64), minlength=m)
         for r in range(m):
             if tally[r] == 0:
-                report = class_conditions(a, r, m, jacobi_search_bound)
+                report = class_conditions(a, r, m)
                 out.append(EmptyClass(m, r, not report.admissible))
     return out
 
@@ -453,11 +445,9 @@ def format_fraction(num: int, den: int, places: int = 6) -> str:
     return f"{sign}{q // scale}.{q % scale:0{places}d}"
 
 
-def _table_rows(t: CountTable, jacobi_search_bound: int) -> list[dict]:
+def _table_rows(t: CountTable) -> list[dict]:
     rejected = {
-        r
-        for r in range(t.modulus)
-        if not class_conditions(t.base, r, t.modulus, jacobi_search_bound).admissible
+        r for r in range(t.modulus) if not class_conditions(t.base, r, t.modulus).admissible
     }
     single = len(t.limits) == 1
     rows = []
@@ -477,15 +467,13 @@ def _table_rows(t: CountTable, jacobi_search_bound: int) -> list[dict]:
     return rows
 
 
-def emit_table(
-    t: CountTable, format: str = "csv", jacobi_search_bound: int = DEFAULT_JACOBI_BOUND
-) -> str:
+def emit_table(t: CountTable, format: str = "csv") -> str:
     """Render a CountTable as CSV (fixed header) or a JSON array of rows.
 
     With a single limit, a fraction column (class count / total, 6 decimal
     places) is appended.
     """
-    rows = _table_rows(t, jacobi_search_bound) if t.limits else []
+    rows = _table_rows(t) if t.limits else []
     if format == "csv":
         header = "base,modulus,class,limit,count,empty_predicted"
         if rows and "fraction" in rows[0]:

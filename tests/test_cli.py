@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from pseudoprimes import density, sieve
 from pseudoprimes.cli import run
 
 
@@ -78,10 +80,6 @@ def test_class_check_json(capsys):
 def test_even_listing(capsys):
     code, out, _ = _capture(capsys, ["psp", "even", "--limit", "2e5"])
     assert code == 0 and out == "161038\n"
-    code, out, _ = _capture(
-        capsys, ["psp", "even", "--limit", "2e5", "--nine-filter", "none"]
-    )
-    assert out == "161038\n"
 
 
 def test_empty_classes_csv(capsys):
@@ -127,6 +125,47 @@ def test_group_check_composite_order(capsys):
         capsys, ["ordowski", "group-check", "--group", "2:1,2", "--group", "3:1"]
     )
     assert code == 0 and out.strip().split("\n")[-1].endswith("ok=true")
+
+
+def _parse_digits(text: str) -> int:
+    # int(text) refuses more than 4300 digits; build the value in pieces
+    value = 0
+    for i in range(0, len(text), 1000):
+        piece = text[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_c1_prints_numbers_past_the_digit_limit(capsys):
+    code, out, _ = _capture(capsys, ["ordowski", "c1", "--b-max", "5000"])
+    assert code == 0
+    ratio, rendered = out.split()
+    num, den = ratio.split("/")
+    assert len(num) > 4300
+    value = density.c1_partial(5000)
+    assert Fraction(_parse_digits(num), _parse_digits(den)) == value
+    assert rendered == sieve.format_fraction(value.numerator, value.denominator)
+
+
+@pytest.mark.parametrize(
+    "call, argv",
+    [
+        (lambda: sieve.count_psp_table(2, 0, [100]), "psp count --mod 0 --limit 100"),
+        (lambda: sieve.count_psp_table(2, 8, []), None),
+        (
+            lambda: sieve.count_psp_table(2, 8, [100], segments=0),
+            "psp count --mod 8 --limit 100 --segments 0",
+        ),
+        (lambda: sieve.scan_empty_classes(2, 1, 100), "psp empty-classes --mod 0 --limit 100"),
+    ],
+    ids=["mod-0", "no-limits", "segments-0", "max-mod-below-2"],
+)
+def test_bad_sizes_are_value_errors(capsys, call, argv):
+    with pytest.raises(ValueError):
+        call()
+    if argv is not None:
+        code, out, err = _capture(capsys, argv.split())
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_capacity_exit_code(capsys):

@@ -4,12 +4,14 @@ pseudoprimes, empty-class scanning, ingestion, and table rendering."""
 import io
 import json
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
 import pseudoprimes as pp
 from pseudoprimes import JacobiCondition
+from pseudoprimes.cli import run
 from pseudoprimes.errors import InputFormatError
 
 LIMIT_1E6 = 10**6
@@ -70,14 +72,12 @@ def test_class_conditions_showcase_values():
 def test_class_conditions_jacobi_not_applicable_iff_g_odd():
     for m in range(1, 30):
         for r in range(m):
-            rep = pp.class_conditions(2, r, m, jacobi_search_bound=64)
+            rep = pp.class_conditions(2, r, m)
             assert (rep.cond_jacobi == JacobiCondition.NOT_APPLICABLE) == (rep.g % 2 == 1)
 
 
 def test_class_conditions_coprime_classes_admissible():
     # gcd(r, m) = 1 leaves nothing to check for any base
-    from math import gcd
-
     for a in (2, 3, 5, 10):
         for m in range(1, 40):
             for r in range(m):
@@ -90,6 +90,60 @@ def test_class_conditions_pinned_family_mod_16():
     assert pp.class_conditions(2, 10, 16).cond_jacobi == JacobiCondition.FAILS
     assert pp.class_conditions(2, 2, 16).cond_jacobi == JacobiCondition.HOLDS
     assert pp.class_conditions(2, 14, 16).cond_jacobi == JacobiCondition.HOLDS
+
+
+def _jacobi_search(a, r, m, bound=1 << 10):
+    """Reference: scan k = r, r+m, ... over at most `bound` candidates whose
+    part k' coprime to 2a exceeds 1; True on the first (a/k') = +1."""
+    k, seen = r, 0
+    for _ in range(64 * bound):
+        if k > 0:
+            k2a = pp.coprime_part(k, 2 * a)
+            if k2a > 1:
+                seen += 1
+                if pp.jacobi(a, k2a) == 1:
+                    return True
+                if seen >= bound:
+                    return False
+        k += m
+    return False
+
+
+def test_jacobi_decision_matches_bounded_search():
+    # the search can only confirm HOLDS; the exact decision never says UNKNOWN
+    for a in range(2, 11):
+        for m in range(1, 65):
+            for r in range(m):
+                verdict = pp.class_conditions(a, r, m).cond_jacobi
+                if gcd(r, m) % 2:
+                    assert verdict == JacobiCondition.NOT_APPLICABLE
+                    continue
+                assert verdict in (JacobiCondition.HOLDS, JacobiCondition.FAILS), (a, r, m)
+                assert (verdict == JacobiCondition.HOLDS) == _jacobi_search(a, r, m), (a, r, m)
+
+
+def test_refuted_classes_hold_no_pseudoprime_to_1e6():
+    # necessity, contrapositive, for every base 2..10 and modulus <= 64
+    for a in range(2, 11):
+        values = pp.psp_values(a, LIMIT_1E6)
+        for m in range(1, 65):
+            tally = np.bincount((values % np.uint64(m)).astype(np.int64), minlength=m)
+            for r in range(m):
+                if not pp.class_conditions(a, r, m).admissible:
+                    assert tally[r] == 0, (a, r, m)
+
+
+@pytest.mark.parametrize("a, r, m", [(3, 10, 24), (3, 14, 24), (5, 6, 20), (5, 14, 20)])
+def test_jacobi_fails_where_the_search_ran_out(a, r, m):
+    # the bounded search ran out on each of these and left it UNKNOWN
+    report = pp.class_conditions(a, r, m)
+    assert report.cond_h_divides and report.cond_u_divides
+    assert report.cond_jacobi == JacobiCondition.FAILS
+
+
+def test_class_check_cli_prints_exact_verdict(capsys):
+    assert run(["psp", "class-check", "--base", "3", "--mod", "24", "--class", "10"]) == 0
+    assert "jacobi=fails" in capsys.readouterr().out.split()
 
 
 def test_class_conditions_domain_errors():
@@ -206,8 +260,6 @@ def test_even_psp_first_values():
 def test_even_psp_matches_unshortcut_scan_at_1e7():
     fast = pp.enumerate_even_psp(LIMIT_1E7)
     assert fast == pp.even_psp_brute(LIMIT_1E7)
-    assert fast == pp.enumerate_even_psp(LIMIT_1E7, nine_filter=None)
-    assert fast == pp.enumerate_even_psp(LIMIT_1E7, nine_filter="gcd2145")
     assert fast == [161038, 215326, 2568226, 3020626, 7866046, 9115426]
 
 
@@ -225,11 +277,6 @@ def test_even_psp_class_shape():
 def test_even_psp_agree_with_full_stream(psp2_1e7):
     evens = psp2_1e7[psp2_1e7 % 2 == 0]
     assert evens.tolist() == pp.enumerate_even_psp(LIMIT_1E7)
-
-
-def test_even_psp_rejects_unknown_filter():
-    with pytest.raises(ValueError):
-        pp.enumerate_even_psp(100, nine_filter="mod7")
 
 
 # ---------------------------------------------------------------------------
