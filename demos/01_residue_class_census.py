@@ -10,7 +10,7 @@ import pseudoprimes as pp
 
 LIMIT = 10**6
 
-table = pp.count_psp_table(2, 8, [LIMIT], segments=4)
+table = pp.count_psp_table(2, 8, [LIMIT])
 print(f"base-2 pseudoprimes <= {LIMIT}: {table.total()} total\n")
 print(f"{'class':>5} {'count':>6} {'fraction':>9}  admissible?")
 for r in range(8):

@@ -3,8 +3,9 @@
 Two command groups: `psp` for residue-class pseudoprime statistics and
 `ordowski` for the divisor-base density machinery.  All numeric flags accept
 scientific shorthand (1e8).  Output on stdout is deterministic for a given
-invocation and independent of --segments; exact rationals print as num/den
-followed by a 6-decimal rendering (round-half-even).
+invocation; tables print as CSV or as a JSON array of the same rows, and
+exact rationals print as num/den followed by a 6-decimal rendering
+(round-half-even).
 
 Exit codes: 0 success, 2 usage error, 3 capacity-guard violation.
 """
@@ -71,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--base", type=_integer, default=2)
     p_count.add_argument("--mod", type=_integer, required=True)
     p_count.add_argument("--limit", type=_integer, required=True)
-    p_count.add_argument("--segments", type=_integer, default=1)
     p_count.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_even = psub.add_parser("even", help="list the even base-2 pseudoprimes up to a limit")
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_psp(args: argparse.Namespace) -> int:
     if args.command == "count":
-        table = sieve.count_psp_table(args.base, args.mod, [args.limit], segments=args.segments)
+        table = sieve.count_psp_table(args.base, args.mod, [args.limit])
         sys.stdout.write(sieve.emit_table(table, args.format))
     elif args.command == "even":
         values = sieve.enumerate_even_psp(args.limit)
@@ -164,22 +164,9 @@ def _run_psp(args: argparse.Namespace) -> int:
             sys.stdout.write(text + "\n")
     elif args.command == "empty-classes":
         found = sieve.scan_empty_classes(args.base, args.mod, args.limit)
-        if args.format == "json":
-            rows = [
-                {
-                    "modulus": e.modulus,
-                    "class": e.residue,
-                    "predicted_by_lemma": e.predicted_by_lemma,
-                }
-                for e in found
-            ]
-            sys.stdout.write(json.dumps(rows, indent=2) + "\n")
-        else:
-            sys.stdout.write("modulus,class,predicted_by_lemma\n")
-            sys.stdout.writelines(
-                f"{e.modulus},{e.residue},{'true' if e.predicted_by_lemma else 'false'}\n"
-                for e in found
-            )
+        rows = [(e.modulus, e.residue, e.predicted_by_lemma) for e in found]
+        header = ("modulus", "class", "predicted_by_lemma")
+        sys.stdout.write(sieve.render_rows(header, rows, args.format))
     elif args.command == "ingest":
         with open(args.input, "r", encoding="utf-8") as stream:
             table = sieve.ingest_psp_list(stream, args.mod, args.base)

@@ -1,7 +1,9 @@
 """Pseudoprimes in residue classes: the admissibility test for a class to
-contain base-a pseudoprimes, segmented counting of pseudoprimes per class,
-the even-pseudoprime enumerator, empty-class scanning, and ingestion of
-externally computed pseudoprime lists.
+contain base-a pseudoprimes, counting of pseudoprimes per class, the
+even-pseudoprime enumerator, empty-class scanning, and ingestion of
+externally computed pseudoprime lists.  Every listing of pseudoprimes comes
+from one windowed Fermat scan: `_windows` splits a range at 2**32 and
+`_fermat_mask` tests one window, vectorized below 2**32 and scalar above.
 
 The admissibility test for a class r mod m and base a works with
 g = gcd(r, m), g_a the largest divisor of g coprime to a, and
@@ -158,11 +160,36 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
 # pseudoprime value stream
 
 
-def iter_psp_values(a: int, lo: int, hi: int, chunk: int = _CHUNK):
+def _check_limit(limit: int) -> None:
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+
+
+def _windows(lo: int, hi: int):
+    """Split [lo, hi) into windows (wlo, whi) of at most _CHUNK numbers.  No
+    window straddles bulk.VECTOR_MOD_LIMIT, so each lies wholly on the
+    vector side or wholly on the scalar side of it."""
+    cut = min(max(lo, bulk.VECTOR_MOD_LIMIT), hi)
+    for start, stop in ((lo, cut), (cut, hi)):
+        for wlo in range(start, stop, _CHUNK):
+            yield wlo, min(wlo + _CHUNK, stop)
+
+
+def _fermat_mask(a: int, ns: np.ndarray) -> np.ndarray:
+    """Whether a^n = a (mod n) for each n of one window: an ascending uint64
+    array lying wholly below or wholly above bulk.VECTOR_MOD_LIMIT."""
+    if ns.size and ns[-1] >= bulk.VECTOR_MOD_LIMIT:
+        return np.fromiter((pow(a, n, n) == a % n for n in map(int, ns)), bool, ns.size)
+    target = np.uint64(a) % ns if ns.size and a >= ns[0] else np.uint64(a)
+    return bulk.powmod_vector(a, ns, ns) == target
+
+
+def iter_psp_values(a: int, lo: int, hi: int):
     """Yield uint64 arrays of the base-a pseudoprimes in [lo, hi), ascending.
 
-    Compositeness comes from a windowed prime sieve below 2**32 and from the
-    deterministic primality test on the (slow) scalar path above it.
+    Compositeness comes from a windowed prime sieve below 2**32; above it
+    the Fermat test runs in scalar arithmetic (slow) and the deterministic
+    primality test runs on its hits only.
     """
     if a < 2:
         raise ValueError("base must be >= 2")
@@ -171,34 +198,27 @@ def iter_psp_values(a: int, lo: int, hi: int, chunk: int = _CHUNK):
     lo = max(lo, 4)
     if hi <= lo:
         return
-    if hi <= bulk.VECTOR_MOD_LIMIT:
-        base_primes = bulk.primes_upto(isqrt(hi - 1))
-        for wlo in range(lo, hi, chunk):
-            whi = min(wlo + chunk, hi)
-            ns = np.arange(wlo, whi, dtype=np.uint64)
-            residue = bulk.powmod_vector(a, ns, ns)
-            hits = residue == np.uint64(a) % ns if a >= wlo else residue == np.uint64(a)
+    base_primes = bulk.primes_upto(isqrt(min(hi, bulk.VECTOR_MOD_LIMIT) - 1))
+    for wlo, whi in _windows(lo, hi):
+        ns = np.arange(wlo, whi, dtype=np.uint64)
+        hits = _fermat_mask(a, ns)
+        if whi <= bulk.VECTOR_MOD_LIMIT:
             hits &= bulk.composite_flags(wlo, whi, base_primes)
-            if hits.any():
-                yield ns[hits]
-    else:
-        found = []
-        for n in range(lo, hi):
-            if pow(a, n, n) == a % n and not is_prime(n):
-                found.append(n)
-                if len(found) >= 4096:
-                    yield np.array(found, dtype=np.uint64)
-                    found = []
-        if found:
-            yield np.array(found, dtype=np.uint64)
+        else:
+            hits[hits] = [not is_prime(n) for n in ns[hits].tolist()]
+        if hits.any():
+            yield ns[hits]
+
+
+def _psp_array(a: int, lo: int, hi: int) -> np.ndarray:
+    """The whole stream of iter_psp_values(a, lo, hi) as one uint64 array."""
+    return np.concatenate([np.zeros(0, dtype=np.uint64), *iter_psp_values(a, lo, hi)])
 
 
 def psp_values(a: int, limit: int) -> np.ndarray:
     """All base-a pseudoprimes <= limit as one ascending uint64 array."""
-    parts = list(iter_psp_values(a, 2, limit + 1))
-    if not parts:
-        return np.zeros(0, dtype=np.uint64)
-    return np.concatenate(parts)
+    _check_limit(limit)
+    return _psp_array(a, 2, max(2, limit + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +296,7 @@ def count_psp_in_classes(
     half-open segment (default: all of [2, limit+1))."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
+    _check_limit(limit)
     top = max(2, limit + 1)
     if segment is None:
         lo, hi = 2, top
@@ -287,31 +308,20 @@ def count_psp_in_classes(
         lo, hi = segment
     if not 2 <= lo <= hi <= top:
         raise ValueError("segment must lie within [2, limit+1)")
-    parts = list(iter_psp_values(a, lo, hi))
-    values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
-    return CountTable.from_values(a, m, (limit,), values, ((lo, hi),))
+    return CountTable.from_values(a, m, (limit,), _psp_array(a, lo, hi), ((lo, hi),))
 
 
-def count_psp_table(a: int, m: int, limits, segments: int = 1) -> CountTable:
-    """Full count table at several limits, scanned in `segments` disjoint
-    pieces and merged; the result is independent of the segmentation."""
+def count_psp_table(a: int, m: int, limits) -> CountTable:
+    """Full count table of base-a pseudoprimes per class mod m at several
+    limits, from one scan up to the largest."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
     limits = sorted(int(x) for x in limits)
     if not limits:
         raise ValueError("need at least one limit")
+    _check_limit(limits[0])
     top = limits[-1]
-    bounds = [2 + (top - 1) * i // segments for i in range(segments)] + [top + 1]
-    table: CountTable | None = None
-    for i in range(segments):
-        lo, hi = bounds[i], bounds[i + 1]
-        parts = list(iter_psp_values(a, lo, hi))
-        values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
-        part = CountTable.from_values(a, m, limits, values, ((lo, hi),))
-        table = part if table is None else table.merge(part)
-    return table
+    return CountTable.from_values(a, m, limits, psp_values(a, top), ((2, top + 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +349,11 @@ def enumerate_even_psp(limit: int) -> list[int]:
     (mod n/2) with n-1 odd, so every prime p | n/2 has odd ord_p(2), and 3, 5,
     11 and 13 have even order.
     """
-    if limit >= bulk.VECTOR_MOD_LIMIT:
-        return [
-            n
-            for n in range(18, limit + 1, 2)
-            if n % 16 in (2, 14) and gcd(n, 2145) == 1 and pow(2, n, n) == 2
-        ]
+    _check_limit(limit)
     found: list[int] = []
-    for wlo in range(4, limit + 1, _CHUNK):
-        whi = min(wlo + _CHUNK, limit + 1)
+    for wlo, whi in _windows(4, limit + 1):
         cand = _even_candidates(wlo, whi)
-        if cand.size == 0:
-            continue
-        hit = bulk.powmod_vector(2, cand, cand) == 2
-        found.extend(int(x) for x in cand[hit])
+        found.extend(cand[_fermat_mask(2, cand)].tolist())
     return found
 
 
@@ -360,13 +361,9 @@ def even_psp_brute(limit: int) -> list[int]:
     """Reference enumerator: every even n in [4, limit] tested directly,
     with no candidate-class shortcuts."""
     found: list[int] = []
-    for wlo in range(4, limit + 1, _CHUNK):
-        whi = min(wlo + _CHUNK, limit + 1)
+    for wlo, whi in _windows(4, limit + 1):
         ns = np.arange(wlo + wlo % 2, whi, 2, dtype=np.uint64)
-        if ns.size == 0:
-            continue
-        hit = bulk.powmod_vector(2, ns, ns) == 2
-        found.extend(int(x) for x in ns[hit])
+        found.extend(ns[_fermat_mask(2, ns)].tolist())
     return found
 
 
@@ -445,26 +442,17 @@ def format_fraction(num: int, den: int, places: int = 6) -> str:
     return f"{sign}{q // scale}.{q % scale:0{places}d}"
 
 
-def _table_rows(t: CountTable) -> list[dict]:
-    rejected = {
-        r for r in range(t.modulus) if not class_conditions(t.base, r, t.modulus).admissible
-    }
-    single = len(t.limits) == 1
-    rows = []
-    for r in range(t.modulus):
-        for lim in t.limits:
-            row = {
-                "base": t.base,
-                "modulus": t.modulus,
-                "class": r,
-                "limit": lim,
-                "count": t.counts.get((r, lim), 0),
-                "empty_predicted": r in rejected,
-            }
-            if single:
-                row["fraction"] = format_fraction(row["count"], t.total(lim))
-            rows.append(row)
-    return rows
+def render_rows(header: tuple[str, ...], rows, format: str = "csv") -> str:
+    """Render rows (tuples in header order) as CSV with booleans written
+    true/false, or as a JSON array of objects keyed by the header."""
+    if format == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row))
+        return "\n".join(lines) + "\n"
+    if format == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    raise ValueError("format must be 'csv' or 'json'")
 
 
 def emit_table(t: CountTable, format: str = "csv") -> str:
@@ -473,25 +461,16 @@ def emit_table(t: CountTable, format: str = "csv") -> str:
     With a single limit, a fraction column (class count / total, 6 decimal
     places) is appended.
     """
-    rows = _table_rows(t) if t.limits else []
-    if format == "csv":
-        header = "base,modulus,class,limit,count,empty_predicted"
-        if rows and "fraction" in rows[0]:
-            header += ",fraction"
-        lines = [header]
-        for row in rows:
-            cells = [
-                str(row["base"]),
-                str(row["modulus"]),
-                str(row["class"]),
-                str(row["limit"]),
-                str(row["count"]),
-                "true" if row["empty_predicted"] else "false",
-            ]
-            if "fraction" in row:
-                cells.append(row["fraction"])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    raise ValueError("format must be 'csv' or 'json'")
+    header = ("base", "modulus", "class", "limit", "count", "empty_predicted")
+    single = len(t.limits) == 1
+    if single:
+        header += ("fraction",)
+    totals = {lim: t.total(lim) for lim in t.limits}
+    rows = []
+    for r in range(t.modulus):
+        rejected = not class_conditions(t.base, r, t.modulus).admissible
+        for lim in t.limits:
+            count = t.count(r, lim)
+            row = (t.base, t.modulus, r, lim, count, rejected)
+            rows.append(row + (format_fraction(count, totals[lim]),) if single else row)
+    return render_rows(header, rows, format)

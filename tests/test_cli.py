@@ -32,23 +32,6 @@ def test_scientific_shorthand_flags(capsys):
     assert out.splitlines()[1] == "10000,6169,8962"
 
 
-def test_count_determinism_across_segments(capsys):
-    runs = []
-    for segments in ("1", "3", "7"):
-        code, out, _ = _capture(
-            capsys,
-            ["psp", "count", "--base", "2", "--mod", "8", "--limit", "1e5",
-             "--segments", segments],
-        )
-        assert code == 0
-        runs.append(out)
-    assert runs[0] == runs[1] == runs[2]
-    code, again, _ = _capture(
-        capsys, ["psp", "count", "--base", "2", "--mod", "8", "--limit", "1e5"]
-    )
-    assert again == runs[0]
-
-
 def test_count_csv_and_json_agree(capsys):
     _, csv_out, _ = _capture(capsys, ["psp", "count", "--mod", "4", "--limit", "1e5"])
     _, json_out, _ = _capture(
@@ -91,6 +74,17 @@ def test_empty_classes_csv(capsys):
     assert lines[0] == "modulus,class,predicted_by_lemma"
     assert "9,0,true" in lines
     assert "4,0,true" in lines
+    code, out, _ = _capture(
+        capsys,
+        ["psp", "empty-classes", "--base", "2", "--mod", "9", "--limit", "1e5",
+         "--format", "json"],
+    )
+    assert code == 0
+    as_csv = [
+        f"{row['modulus']},{row['class']},{str(row['predicted_by_lemma']).lower()}"
+        for row in json.loads(out)
+    ]
+    assert as_csv == lines[1:]
 
 
 def test_ingest_round_trip(tmp_path, capsys):
@@ -152,13 +146,23 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
     [
         (lambda: sieve.count_psp_table(2, 0, [100]), "psp count --mod 0 --limit 100"),
         (lambda: sieve.count_psp_table(2, 8, []), None),
-        (
-            lambda: sieve.count_psp_table(2, 8, [100], segments=0),
-            "psp count --mod 8 --limit 100 --segments 0",
-        ),
         (lambda: sieve.scan_empty_classes(2, 1, 100), "psp empty-classes --mod 0 --limit 100"),
+        (lambda: sieve.count_psp_table(2, 4, [100, -5]), "psp count --mod 4 --limit -5"),
+        (lambda: sieve.count_psp_in_classes(2, 4, -5), None),
+        (lambda: sieve.psp_values(2, -5), None),
+        (lambda: sieve.enumerate_even_psp(-5), "psp even --limit -5"),
+        (lambda: sieve.scan_empty_classes(2, 5, -5), "psp empty-classes --mod 5 --limit -5"),
     ],
-    ids=["mod-0", "no-limits", "segments-0", "max-mod-below-2"],
+    ids=[
+        "mod-0",
+        "no-limits",
+        "max-mod-below-2",
+        "count-table-negative-limit",
+        "count-classes-negative-limit",
+        "values-negative-limit",
+        "even-negative-limit",
+        "empty-classes-negative-limit",
+    ],
 )
 def test_bad_sizes_are_value_errors(capsys, call, argv):
     with pytest.raises(ValueError):
@@ -178,6 +182,8 @@ def test_usage_exit_codes(capsys):
     assert _capture(capsys, ["psp", "count", "--badflag", "1"])[0] == 2
     assert _capture(capsys, ["nonsense"])[0] == 2
     assert _capture(capsys, ["psp", "count", "--mod", "4", "--limit", "1.5"])[0] == 2
+    assert _capture(capsys, ["psp", "count", "--mod", "4", "--limit", "100",
+                             "--segments", "4"])[0] == 2
     code, _, err = _capture(
         capsys, ["psp", "class-check", "--mod", "4", "--class", "9"]
     )

@@ -1,5 +1,6 @@
-"""Residue-class machinery: admissibility, segmented counting, even
-pseudoprimes, empty-class scanning, ingestion, and table rendering."""
+"""Residue-class machinery: admissibility, the windowed pseudoprime scan,
+counting, even pseudoprimes, empty-class scanning, ingestion, and table
+rendering."""
 
 import io
 import json
@@ -156,6 +157,18 @@ def test_class_conditions_domain_errors():
 
 
 # ---------------------------------------------------------------------------
+# the windowed scan
+
+
+def test_scan_across_2_pow_32_matches_scalar_oracle():
+    # windows below 2**32 run vectorized, the rest scalar; 2**32 + 1 = 641 * 6700417
+    lo, hi = 2**32 - 2**12, 2**32 + 2**12
+    found = np.concatenate(list(pp.iter_psp_values(2, lo, hi))).tolist()
+    expected = [n for n in range(lo, hi) if pp.is_fermat_psp(n, 2).is_pseudoprime]
+    assert found == expected == [4294967297]
+
+
+# ---------------------------------------------------------------------------
 # counting
 
 
@@ -164,6 +177,9 @@ def test_count_limit_3_is_all_zero():
         t = pp.count_psp_in_classes(a, m, 3)
         assert t.total() == 0
     assert pp.count_psp_in_classes(2, 4, 0).total() == 0
+    assert pp.psp_values(2, 0).size == 0
+    assert pp.enumerate_even_psp(0) == []
+    assert pp.count_psp_table(2, 4, [0]).total() == 0
 
 
 def test_count_accepts_range_segments():
@@ -212,12 +228,6 @@ def test_merge_rejects_mismatched_tables():
     b = pp.count_psp_in_classes(2, 8, 10**4, segment=(5000, 10**4 + 1))
     with pytest.raises(ValueError):
         a.merge(b)
-
-
-def test_count_psp_table_segments_do_not_change_result():
-    t1 = pp.count_psp_table(2, 6, [LIMIT_1E6], segments=1)
-    t5 = pp.count_psp_table(2, 6, [LIMIT_1E6], segments=5)
-    assert t1 == t5
 
 
 def test_consistency_across_moduli_at_1e7(psp2_1e7):
