@@ -12,6 +12,8 @@ from math import gcd, isqrt
 
 import numpy as np
 
+from .arith import _lambda_prime_power
+
 VECTOR_MOD_LIMIT = 1 << 32
 _WINDOW = 1 << 26
 
@@ -110,11 +112,8 @@ def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
         pe = p
         e = 1
         while pe <= hi:
-            # exact lambda of p**e; ascending e makes the deepest power win the lcm
-            if p == 2:
-                comp = 1 if e == 1 else (2 if e == 2 else pe >> 2)
-            else:
-                comp = pe // p * (p - 1)
+            # ascending e makes the deepest power win the lcm
+            comp = _lambda_prime_power(p, e)
             if comp > 1:
                 sl = lam[pe::pe]
                 g = np.gcd(sl, comp)

@@ -4,14 +4,18 @@ For b >= 2 let T_b = {ab : a >= 2, a**(ab) == a (mod ab)}: the numbers that
 are a Fermat pseudoprime to the base n/b.  Membership forces gcd(a, b) = 1 and
 reduces to a**(ab-1) == 1 (mod b), so T_b (plus the single excluded point b)
 is a finite union of residue classes: one class mod b**2*d for every unit
-a0 mod b whose multiplicative order d is coprime to b.  That structure gives
-exact rational densities
+a0 mod b whose multiplicative order d is coprime to b.  Those units form the
+subgroup G_b of (Z/bZ)^*, the product of its p-components with p not dividing
+b, so with N(G) = sum over x in G of 1/ord(x)
 
-    delta(T_b) = sum over d | lambda(b), gcd(d, b) = 1 of N(d, b) / (b**2 d),
+    delta(T_b) = N(G_b) / b**2.
 
-exact union densities by CRT inclusion-exclusion, partial sums of the density
-series, and rigorous tail bounds via tau(lambda0(b)) phi0(b) / (lambda0(b) b**2)
-where lambda0, phi0 are the largest divisors of lambda(b), phi(b) coprime to b.
+The per-b tail term tau(lambda0) phi0 / (lambda0 b**2), where lambda0 and phi0
+are the exponent and the order of G_b, is the group inequality
+N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2; both numbers
+come from check_group_bounds on the p-components.  On top of these sit exact
+union densities by CRT inclusion-exclusion and partial sums of the density
+series.
 
 Everything is exact: densities are fractions end to end, and the one sum that
 cannot be held as a reduced fraction (the tail bound over millions of b) is
@@ -28,15 +32,13 @@ import numpy as np
 
 from . import bulk
 from .arith import (
+    _lambda_prime_power,
     as_factorization,
     carmichael_lambda,
-    coprime_part,
     divisors,
-    euler_phi,
     factor,
     is_prime,
     multiplicative_order,
-    tau,
 )
 from .errors import CapacityError
 from .sieve import ResidueClass
@@ -84,57 +86,36 @@ def order_census(b: int) -> OrderCensus:
     return OrderCensus(b, {d: n for d, n in entries.items() if n})
 
 
-def _unit_group_components(b: int) -> list[int]:
-    """Orders of the cyclic components of the unit group mod b."""
-    comps = []
-    for p, e in factor(b).factors if b > 1 else ():
-        if p == 2:
-            if e == 2:
-                comps.append(2)
-            elif e >= 3:
-                comps.extend([2, 1 << (e - 2)])
-        else:
-            comps.append(p ** (e - 1) * (p - 1))
-    return [c for c in comps if c > 1]
+def _sylow_components(b: int) -> tuple[AbelianPGroup, ...]:
+    """The p-components of the unit group mod b, ascending in p.
+
+    Each p**e || b gives a cyclic factor of order lambda(p**e), plus a C_2
+    when p = 2 and e >= 3; each cyclic factor splits over the primes of its
+    order."""
+    exponents: dict = {}
+    for p, e in factor(b).factors:
+        for c in (_lambda_prime_power(p, e), 2 if p == 2 and e >= 3 else 1):
+            for q, k in factor(c).factors if c > 1 else ():
+                exponents.setdefault(q, []).append(k)
+    return tuple(AbelianPGroup(q, tuple(sorted(ks))) for q, ks in sorted(exponents.items()))
 
 
 def unit_order_counts(b: int) -> dict:
     """Same census as order_census(b).entries, from the group structure.
 
-    In a product of cyclic groups, #{x : x**e = 1} is the product of
-    gcd(e, component order); Moebius inversion over the divisors of
-    lambda(b) then isolates the exact-order counts.  No unit enumeration,
-    so this is what the bulk density sums use.
-    """
+    The unit group is the product of its p-components G_p, so the number of
+    units of order d is the product over p of group_order_count(v_p(d), G_p).
+    No unit enumeration."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    comps = _unit_group_components(b)
-    lam = 1
-    for c in comps:
-        lam = lam // gcd(lam, c) * c
-    lam_f = as_factorization(lam)
-    lam_primes = [p for p, _ in lam_f.factors]
-    solutions = {}
-    for e in divisors(lam_f):
-        v = 1
-        for c in comps:
-            v *= gcd(e, c)
-        solutions[e] = v
-    counts: dict = {}
-    for d in divisors(lam_f):
-        total = 0
-        ps = [p for p in lam_primes if d % p == 0]
-        for mask in range(1 << len(ps)):
-            q = 1
-            bits = 0
-            for i, p in enumerate(ps):
-                if mask >> i & 1:
-                    q *= p
-                    bits += 1
-            total += (-1) ** bits * solutions[d // q]
-        if total:
-            counts[d] = total
-    return counts
+    counts = {1: 1}
+    for g in _sylow_components(b):
+        counts = {
+            d * g.p**j: n * group_order_count(j, g)
+            for d, n in counts.items()
+            for j in range(g.lambdas[-1] + 1)
+        }
+    return dict(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +177,12 @@ def sb_membership(n: int, b: int) -> bool:
 
 
 def sb_density(b: int) -> Fraction:
-    """Exact density of T_b."""
+    """Exact density N(G_b) / b**2 of T_b."""
     if b < 2:
         raise ValueError("b must be >= 2")
     if b > _ORDER_CENSUS_CAP:
         raise CapacityError(f"sb_density capped at b <= {_ORDER_CENSUS_CAP}")
-    total = Fraction(0)
-    for d, n in unit_order_counts(b).items():
-        if gcd(d, b) == 1:
-            total += Fraction(n, b * b * d)
-    return total
+    return check_group_bounds([g for g in _sylow_components(b) if b % g.p]).n_value / (b * b)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +288,11 @@ def count_S(limit: int) -> tuple[int, int]:
 
 def tail_bound_term(b: int) -> Fraction:
     """The per-b bound tau(lambda0(b)) * phi0(b) / (lambda0(b) * b**2),
-    an upper bound for delta(T_b)."""
+    an upper bound for delta(T_b); lambda0 and phi0 are the exponent and the
+    order of G_b."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    fb = factor(b)
-    lam0 = coprime_part(carmichael_lambda(fb), b)
-    phi0 = coprime_part(euler_phi(fb), b)
-    return Fraction(tau(as_factorization(lam0)) * phi0, lam0 * b * b)
+    return check_group_bounds([g for g in _sylow_components(b) if b % g.p]).eq_bound / (b * b)
 
 
 def tail_bound(b_lo: int, b_hi: int) -> Fraction:

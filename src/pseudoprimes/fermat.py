@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
+from . import bulk
 from .arith import (
     Factorization,
     as_factorization,
@@ -78,22 +81,26 @@ def F_star(n: int | Factorization) -> int:
     return result
 
 
-def F_brute(n: int) -> int:
-    """Direct count of a in [0, n) with a**(n-1) == 1 (mod n)."""
+def _powers_of_every_base(n: int, exponent: int) -> np.ndarray:
+    """a**exponent mod n for every a in [0, n), in one vector call."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > _BRUTE_CAP:
         raise CapacityError(f"brute count capped at {_BRUTE_CAP}")
-    if n == 1:
-        return 1
-    return sum(1 for a in range(n) if pow(a, n - 1, n) == 1)
+    bases = np.arange(n, dtype=np.uint64)
+    return bulk.powmod_vector(bases, exponent, np.full(n, n, dtype=np.uint64))
+
+
+def F_brute(n: int) -> int:
+    """Direct count of a in [0, n) with a**(n-1) == 1 (mod n)."""
+    powers = _powers_of_every_base(n, n - 1)
+    return 1 if n == 1 else int((powers == 1).sum())
 
 
 def F_star_brute(n: int) -> int:
     """Direct count of a in [0, n) with a**n == a (mod n)."""
-    if n > _BRUTE_CAP:
-        raise CapacityError(f"brute count capped at {_BRUTE_CAP}")
-    if n == 1:
-        return 1
-    return sum(1 for a in range(n) if pow(a, n, n) == a)
+    powers = _powers_of_every_base(n, n)
+    return 1 if n == 1 else int((powers == np.arange(n, dtype=np.uint64)).sum())
 
 
 def D(n: int | Factorization) -> int:

@@ -360,6 +360,7 @@ def enumerate_even_psp(limit: int) -> list[int]:
 def even_psp_brute(limit: int) -> list[int]:
     """Reference enumerator: every even n in [4, limit] tested directly,
     with no candidate-class shortcuts."""
+    _check_limit(limit)
     found: list[int] = []
     for wlo, whi in _windows(4, limit + 1):
         ns = np.arange(wlo + wlo % 2, whi, 2, dtype=np.uint64)

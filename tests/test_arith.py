@@ -320,3 +320,26 @@ def test_jacobi_multiplicative_in_numerator():
         for a in range(1, 20):
             for b in range(1, 20):
                 assert pp.jacobi(a * b, k) == pp.jacobi(a, k) * pp.jacobi(b, k)
+
+
+def test_kernel_matches_sympy_on_random_63_bit():
+    sympy = pytest.importorskip("sympy")
+    nt = sympy.ntheory
+
+    rng = random.Random(63)
+    for _ in range(100):
+        n = rng.randrange(1 << 62, 1 << 63)
+        p = nt.nextprime(n - (1 << 20))  # prime gaps near 2**63 are far below 2**20
+        assert pp.is_prime(n) == nt.isprime(n), n
+        assert pp.is_prime(p), p
+        assert dict(pp.factor(n).factors) == nt.factorint(n), n
+        assert pp.carmichael_lambda(n) == sympy.reduced_totient(n), n
+        a = rng.randrange(2, n)
+        while gcd(a, n) != 1:
+            a += 1
+        assert pp.multiplicative_order(a, n) == nt.n_order(a, n), (a, n)
+        k = n | 1
+        assert pp.jacobi(a - n, k) == sympy.jacobi_symbol(a - n, k), (a, k)
+        counts = pp.unit_order_counts(n)
+        assert sum(counts.values()) == sympy.totient(n), n
+        assert max(counts) == sympy.reduced_totient(n), n

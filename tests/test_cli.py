@@ -151,6 +151,7 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
         (lambda: sieve.count_psp_in_classes(2, 4, -5), None),
         (lambda: sieve.psp_values(2, -5), None),
         (lambda: sieve.enumerate_even_psp(-5), "psp even --limit -5"),
+        (lambda: sieve.even_psp_brute(-5), None),
         (lambda: sieve.scan_empty_classes(2, 5, -5), "psp empty-classes --mod 5 --limit -5"),
     ],
     ids=[
@@ -161,6 +162,7 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
         "count-classes-negative-limit",
         "values-negative-limit",
         "even-negative-limit",
+        "even-brute-negative-limit",
         "empty-classes-negative-limit",
     ],
 )

@@ -31,12 +31,13 @@ def test_order_census_cyclic_prime_case():
 
 
 def test_structural_counts_match_enumeration_to_2000():
-    for b in range(2, 2001):
+    # the extra b bring multi-factor 2- and 3-components and large primes
+    for b in [*range(2, 2001), 4096, 6561, 30030, 55440, 65536, 99991]:
         assert pp.unit_order_counts(b) == pp.order_census(b).entries
 
 
 def test_census_partitions_phi_to_5000():
-    for b in range(2, 5001):
+    for b in [*range(2, 5001), 2**40, 3**25, 10**12, 2**61 - 1]:
         counts = pp.unit_order_counts(b)
         assert sum(counts.values()) == pp.euler_phi(b)
         lam = pp.carmichael_lambda(b)
@@ -66,7 +67,7 @@ def test_class_system_examples():
 
 
 def test_class_system_density_equals_formula_to_2000():
-    for b in range(2, 2001):
+    for b in [*range(2, 2001), 4096, 6561, 30030, 55440, 65536, 99991]:
         assert pp.sb_class_system(b).density == pp.sb_density(b)
 
 

@@ -67,6 +67,11 @@ def test_F_brute_capacity_guard():
         pp.F_brute(10**6 + 1)
     with pytest.raises(CapacityError):
         pp.F_star_brute(10**6 + 1)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            pp.F_brute(n)
+        with pytest.raises(ValueError):
+            pp.F_star_brute(n)
 
 
 def test_F_order_and_equality_cases_to_1e4():
