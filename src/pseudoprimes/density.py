@@ -459,10 +459,11 @@ def check_group_bounds(groups) -> GroupBoundReport:
     for g in components:
         n = sum(g.lambdas)
         lam = g.lambdas[-1]
-        for j in range(lam + 1):
-            count = group_order_count(j, g)
-            rows.append((g.p, j, count, Fraction(count, g.p**j), g.p ** (n - lam)))
-        n_value *= group_N(g)
+        counts = [group_order_count(j, g) for j in range(lam + 1)]
+        rows.extend((g.p, j, c, Fraction(c, g.p**j), g.p ** (n - lam))
+                    for j, c in enumerate(counts))
+        # group_N(g) from the same counts, over the common denominator p**lam
+        n_value *= Fraction(sum(c * g.p ** (lam - j) for j, c in enumerate(counts)), g.p**lam)
         order *= g.order
         exponent *= g.exponent
         tau_exp *= lam + 1

@@ -2,8 +2,18 @@
 contain base-a pseudoprimes, counting of pseudoprimes per class, the
 even-pseudoprime enumerator, empty-class scanning, and ingestion of
 externally computed pseudoprime lists.  Every listing of pseudoprimes comes
-from one windowed Fermat scan: `_windows` splits a range at 2**32 and
-`_fermat_mask` tests one window, vectorized below 2**32 and scalar above.
+from one windowed Fermat scan: `_windows` splits a range at 2**32,
+`_presieve` strikes out most of each window, and `_fermat_mask` tests the
+survivors, vectorized below 2**32 and scalar above.
+
+The presieve is exact.  Let p be a prime with p not dividing a.  If p | n
+and a^n = a (mod n), then a^(n-1) = 1 (mod p), so ord_p(a) | n-1; as
+ord_p(a) | p-1, this is n = p (mod p*ord_p(a)).  So a pseudoprime divisible
+by p lies in that one class, and every other multiple of p can be dropped
+untested.  This is the per-prime form of the condition h | r-1 below.  It
+also gives the old candidate rule for even base-2 pseudoprimes,
+gcd(n, 2145) = 1: for p = 3, 5, 11, 13 the order of 2 is even, so no even n
+lies in the class and every even multiple of p is dropped.
 
 The admissibility test for a class r mod m and base a works with
 g = gcd(r, m), g_a the largest divisor of g coprime to a, and
@@ -24,8 +34,8 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from . import bulk
-from .arith import coprime_part, factor, is_prime, jacobi, multiplicative_order
-from .errors import InputFormatError
+from .arith import INT_DOMAIN, coprime_part, factor, is_prime, jacobi, multiplicative_order
+from .errors import CapacityError, InputFormatError
 
 _CHUNK = 1 << 22
 
@@ -165,6 +175,11 @@ def _check_limit(limit: int) -> None:
         raise ValueError("limit must be >= 0")
 
 
+def _check_capacity(hi: int) -> None:
+    if hi > INT_DOMAIN:  # the domain of is_prime, which certifies hits
+        raise CapacityError("scans are capped at n < 2**63")
+
+
 def _windows(lo: int, hi: int):
     """Split [lo, hi) into windows (wlo, whi) of at most _CHUNK numbers.  No
     window straddles bulk.VECTOR_MOD_LIMIT, so each lies wholly on the
@@ -184,30 +199,75 @@ def _fermat_mask(a: int, ns: np.ndarray) -> np.ndarray:
     return bulk.powmod_vector(a, ns, ns) == target
 
 
+def _order_table(a: int, primes: np.ndarray) -> list[tuple[int, int]]:
+    """(p, p * ord_p(a)) for each p in primes (ascending) with p not dividing
+    a.  Each order d starts at p-1 and loses a prime q of p-1 (taken from a
+    smallest-prime-factor table) while a^(d/q) = 1 (mod p)."""
+    p = primes[a % primes.astype(np.uint64) != 0]
+    if not p.size:
+        return []
+    spf = bulk.spf_window(0, int(p[-1]))
+    order = p - 1
+    rest = p - 1  # the part of p-1 whose primes are still to strip
+    while (live := np.flatnonzero(rest > 1)).size:
+        q = spf[rest[live]]
+        while (m := rest[live] % q == 0).any():
+            rest[live[m]] //= q[m]
+        while live.size:
+            m = order[live] % q == 0
+            live, q = live[m], q[m]
+            m = bulk.powmod_vector(a, order[live] // q, p[live]) == 1
+            live, q = live[m], q[m]
+            order[live] //= q
+    return list(zip(p.tolist(), (p * order).tolist()))
+
+
+def _presieve(start: int, step: int, count: int, table) -> np.ndarray:
+    """Survivors among n = start + step*j, 0 <= j < count: False where some
+    prime p of the order table divides n outside the class n = p (mod p*ord).
+    Each j counts such p as +1 for p | n and -1 for the class, whose j are
+    found by CRT; a class with no solution strikes every multiple of p."""
+    bad = np.zeros(count, dtype=np.int8)  # at most 15 primes divide n < 2**63
+    for p, mod in table:
+        if step % p == 0:
+            continue
+        bad[-start * pow(step, -1, p) % p :: p] += 1
+        g = gcd(step, mod)
+        if (p - start) % g == 0:
+            mod //= g
+            bad[(p - start) // g * pow(step // g, -1, mod) % mod :: mod] -= 1
+    return bad == 0
+
+
 def iter_psp_values(a: int, lo: int, hi: int):
     """Yield uint64 arrays of the base-a pseudoprimes in [lo, hi), ascending.
 
+    Each window is presieved by the order table of the primes up to
+    sqrt(min(hi, 2**32)), and the Fermat test runs on the survivors only.
     Compositeness comes from a windowed prime sieve below 2**32; above it
     the Fermat test runs in scalar arithmetic (slow) and the deterministic
-    primality test runs on its hits only.
+    primality test runs on its hits only.  hi > 2**63 raises CapacityError.
     """
     if a < 2:
         raise ValueError("base must be >= 2")
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
+    _check_capacity(hi)
     lo = max(lo, 4)
     if hi <= lo:
         return
     base_primes = bulk.primes_upto(isqrt(min(hi, bulk.VECTOR_MOD_LIMIT) - 1))
+    table = _order_table(a, base_primes)
     for wlo, whi in _windows(lo, hi):
-        ns = np.arange(wlo, whi, dtype=np.uint64)
-        hits = _fermat_mask(a, ns)
+        keep = _presieve(wlo, 1, whi - wlo, table)
         if whi <= bulk.VECTOR_MOD_LIMIT:
-            hits &= bulk.composite_flags(wlo, whi, base_primes)
-        else:
-            hits[hits] = [not is_prime(n) for n in ns[hits].tolist()]
-        if hits.any():
-            yield ns[hits]
+            keep &= bulk.composite_flags(wlo, whi, base_primes)
+        ns = np.flatnonzero(keep).astype(np.uint64) + np.uint64(wlo)
+        hits = ns[_fermat_mask(a, ns)]
+        if whi > bulk.VECTOR_MOD_LIMIT:
+            hits = hits[np.fromiter((not is_prime(n) for n in hits.tolist()), bool, hits.size)]
+        if hits.size:
+            yield hits
 
 
 def _psp_array(a: int, lo: int, hi: int) -> np.ndarray:
@@ -328,31 +388,27 @@ def count_psp_table(a: int, m: int, limits) -> CountTable:
 # even pseudoprimes
 
 
-def _even_candidates(wlo: int, whi: int) -> np.ndarray:
-    """Candidates for even base-2 pseudoprimes in [wlo, whi): the classes
-    2 and 14 mod 16, less the multiples of 3, 5, 11 and 13."""
-    first2 = wlo + (-(wlo - 2)) % 16
-    first14 = wlo + (-(wlo - 14)) % 16
-    cand = np.concatenate(
-        [np.arange(first2, whi, 16, dtype=np.uint64), np.arange(first14, whi, 16, dtype=np.uint64)]
-    )
-    cand.sort()
-    return cand[np.gcd(cand, np.uint64(2145)) == 1]
-
-
 def enumerate_even_psp(limit: int) -> list[int]:
     """All even base-2 pseudoprimes <= limit, ascending.
 
-    Candidates are restricted to n = 2 or 14 (mod 16): an even pseudoprime is
-    2 mod 4, and the classes 6 and 10 mod 16 are refuted by the Jacobi
-    condition.  They are also coprime to 2145 = 3*5*11*13: 2^(n-1) = 1
-    (mod n/2) with n-1 odd, so every prime p | n/2 has odd ord_p(2), and 3, 5,
-    11 and 13 have even order.
+    Candidates are n = 2 or 14 (mod 16): an even pseudoprime is 2 mod 4, and
+    the classes 6 and 10 mod 16 are refuted by the Jacobi condition.  Each
+    class is presieved as a progression of step 16.  When ord_p(2) is even,
+    the class n = p (mod p*ord_p(2)) holds only odd n, so every even multiple
+    of p goes; 3, 5, 11 and 13 are such p, which is the old candidate rule
+    gcd(n, 2145) = 1.  limit >= 2**63 raises CapacityError.
     """
     _check_limit(limit)
+    _check_capacity(limit + 1)
+    table = _order_table(2, bulk.primes_upto(isqrt(min(limit + 1, bulk.VECTOR_MOD_LIMIT) - 1)))
     found: list[int] = []
     for wlo, whi in _windows(4, limit + 1):
-        cand = _even_candidates(wlo, whi)
+        parts = []
+        for r in (2, 14):
+            first = wlo + (r - wlo) % 16
+            j = np.flatnonzero(_presieve(first, 16, len(range(first, whi, 16)), table))
+            parts.append(np.uint64(first) + np.uint64(16) * j.astype(np.uint64))
+        cand = np.sort(np.concatenate(parts))
         found.extend(cand[_fermat_mask(2, cand)].tolist())
     return found
 

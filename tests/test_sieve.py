@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import pseudoprimes as pp
-from pseudoprimes import JacobiCondition
+from pseudoprimes import JacobiCondition, arith, bulk, sieve
 from pseudoprimes.cli import run
-from pseudoprimes.errors import InputFormatError
+from pseudoprimes.errors import CapacityError, InputFormatError
 
 LIMIT_1E6 = 10**6
 LIMIT_1E7 = 10**7
@@ -166,6 +166,30 @@ def test_scan_across_2_pow_32_matches_scalar_oracle():
     found = np.concatenate(list(pp.iter_psp_values(2, lo, hi))).tolist()
     expected = [n for n in range(lo, hi) if pp.is_fermat_psp(n, 2).is_pseudoprime]
     assert found == expected == [4294967297]
+
+
+@pytest.mark.parametrize("a", [2, 3, 5, 6, 10])
+def test_order_table_matches_scalar_order(a):
+    primes = bulk.primes_upto(2**16)
+    table = sieve._order_table(a, primes)
+    assert [p for p, _ in table] == [q for q in primes.tolist() if a % q]
+    assert [mod // p for p, mod in table] == [arith.multiplicative_order(a, p) for p, _ in table]
+
+
+def test_scans_past_2_pow_63_raise_capacity_error():
+    # 2**63 bounds the integers is_prime certifies; past 2**64 uint64 would wrap
+    for lo, hi in ((2**63 - 10, 2**63 + 10), (2**64 - 10, 2**64 + 10), (2**64 + 1, 2**64 + 10)):
+        with pytest.raises(CapacityError):
+            list(pp.iter_psp_values(2, lo, hi))
+    for call in (lambda: pp.psp_values(2, 2**63), lambda: pp.enumerate_even_psp(2**63),
+                 lambda: pp.count_psp_in_classes(2, 8, 2**64),
+                 lambda: pp.count_psp_table(2, 8, [10, 2**64])):
+        with pytest.raises(CapacityError):
+            call()
+    # the last window below the cap still runs, scalar and presieved
+    lo, hi = 2**63 - 2**10, 2**63
+    found = [int(n) for part in pp.iter_psp_values(3, lo, hi) for n in part]
+    assert found == [n for n in range(lo, hi) if pow(3, n, n) == 3 and not pp.is_prime(n)]
 
 
 # ---------------------------------------------------------------------------
