@@ -11,9 +11,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
-
-from .errors import CapacityError
+from math import gcd
 
 INT_DOMAIN = 1 << 63
 
@@ -258,54 +256,3 @@ def jacobi(a: int, k: int) -> int:
         a %= k
     return result if k == 1 else 0
 
-
-class SpfTable:
-    """Smallest-prime-factor lookup for a contiguous window [lo, hi)."""
-
-    __slots__ = ("lo", "hi", "_spf")
-
-    def __init__(self, lo: int, hi: int, spf) -> None:
-        self.lo = lo
-        self.hi = hi
-        self._spf = spf
-
-    def __getitem__(self, n: int) -> int:
-        if not self.lo <= n < self.hi:
-            raise KeyError(f"{n} outside [{self.lo}, {self.hi})")
-        v = int(self._spf[n - self.lo])
-        if v == 0:
-            raise KeyError(f"{n} has no prime factor")
-        return v
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def factorize(self, n: int) -> Factorization:
-        """Factor n by repeated table lookups; needs the window to start at <= 2."""
-        if self.lo > 2:
-            raise ValueError("factorize needs a table window starting at 2 or below")
-        value = n
-        found: list[tuple[int, int]] = []
-        while n > 1:
-            p = self[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            found.append((p, e))
-        return Factorization(value, tuple(sorted(found)))
-
-
-def spf_table(lo: int, hi: int) -> SpfTable:
-    """Smallest prime factor of every n in [lo, hi); spf(p) = p for primes.
-
-    Entries for n < 2 are 0 (no prime factor).  Built windowed so only the
-    requested span plus the primes up to sqrt(hi) are held in memory.
-    """
-    from . import bulk
-
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    if hi > 1 << 40:
-        raise CapacityError("spf_table supports hi <= 2**40")
-    return SpfTable(lo, hi, bulk.spf_window(lo, hi))

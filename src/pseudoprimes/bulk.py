@@ -1,5 +1,6 @@
-"""Vectorized bulk arithmetic: plain sieves, windowed smallest-prime-factor
-tables, elementwise modular exponentiation, and multiplicative-function arrays.
+"""Vectorized bulk arithmetic: one composite sieve (which also lists the
+primes), a smallest-prime-factor array, elementwise modular exponentiation,
+and multiplicative-function arrays.
 
 These back the residue-class counting and density modules.  Moduli in the
 vector exponentiation path must stay below 2**32 so products of two reduced
@@ -8,56 +9,38 @@ residues fit a uint64; callers fall back to scalar arithmetic above that.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
 from .arith import _lambda_prime_power
 
 VECTOR_MOD_LIMIT = 1 << 32
-_WINDOW = 1 << 26
-
-
-def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array f with f[n] = (n is prime) for 0 <= n <= limit."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
 
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as int64."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(prime_flags(limit)).astype(np.int64)
+    comp = composite_flags(0, limit + 1, primes_upto(isqrt(limit)))
+    comp[:2] = True
+    return np.flatnonzero(~comp).astype(np.int64)
 
 
-def spf_window(lo: int, hi: int) -> np.ndarray:
-    """Smallest prime factor of each n in [lo, hi); 0 for n < 2.
+def spf_window(hi: int) -> np.ndarray:
+    """Smallest prime factor of each n in [0, hi); 0 for n < 2.
 
     Composites are marked by ascending primes p <= sqrt(hi-1), so the first
     mark a position receives is its least prime; survivors are primes and map
-    to themselves.  Marking runs in sub-windows to bound temporary memory.
+    to themselves.
     """
-    span = hi - lo
-    spf = np.zeros(span, dtype=np.int64)
-    base = primes_upto(isqrt(hi - 1))
-    for wlo in range(lo, hi, _WINDOW):
-        whi = min(wlo + _WINDOW, hi)
-        view = spf[wlo - lo : whi - lo]
-        for p in base.tolist():
-            start = max(p, (wlo + p - 1) // p * p)
-            if start >= whi:
-                continue
-            sl = view[start - wlo :: p]
-            sl[sl == 0] = p
-        unmarked = np.flatnonzero(view == 0)
-        view[unmarked] = unmarked + wlo
-    if lo < 2:
-        spf[: 2 - lo] = 0
+    spf = np.zeros(hi, dtype=np.int64)
+    for p in primes_upto(isqrt(hi - 1)).tolist():
+        sl = spf[p * p :: p]
+        sl[sl == 0] = p
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked
+    spf[:2] = 0
     return spf
 
 
@@ -81,10 +64,10 @@ def powmod_vector(base, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray
         b = b * b % mod
 
 
-def composite_flags(lo: int, hi: int, base_primes: np.ndarray | None = None) -> np.ndarray:
-    """Boolean array over [lo, hi): True exactly for composite n (n >= 2)."""
-    if base_primes is None:
-        base_primes = primes_upto(isqrt(hi - 1))
+def composite_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Boolean array over [lo, hi): True exactly for composite n (n >= 2).
+
+    base_primes must hold every prime p with p*p < hi, ascending."""
     comp = np.zeros(hi - lo, dtype=bool)
     for p in base_primes.tolist():
         if p * p >= hi:

@@ -180,8 +180,6 @@ def sb_density(b: int) -> Fraction:
     """Exact density N(G_b) / b**2 of T_b."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    if b > _ORDER_CENSUS_CAP:
-        raise CapacityError(f"sb_density capped at b <= {_ORDER_CENSUS_CAP}")
     return check_group_bounds([g for g in _sylow_components(b) if b % g.p]).n_value / (b * b)
 
 
@@ -311,7 +309,7 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     lam0 = bulk.coprime_part_array(lam[b_lo + 1 :], b)
     phi0 = bulk.coprime_part_array(phi[b_lo + 1 :], b)
     del phi, lam
-    spf = bulk.spf_window(0, int(lam0.max()) + 1)
+    spf = bulk.spf_window(int(lam0.max()) + 1)
     tau0 = bulk.tau_array(lam0, spf)
     del spf
     acc = 0

@@ -206,7 +206,7 @@ def _order_table(a: int, primes: np.ndarray) -> list[tuple[int, int]]:
     p = primes[a % primes.astype(np.uint64) != 0]
     if not p.size:
         return []
-    spf = bulk.spf_window(0, int(p[-1]))
+    spf = bulk.spf_window(int(p[-1]))
     order = p - 1
     rest = p - 1  # the part of p-1 whose primes are still to strip
     while (live := np.flatnonzero(rest > 1)).size:
@@ -325,18 +325,24 @@ class CountTable:
                 counts[(r, lim)] = int(tally[r])
         return cls(base, modulus, limits, counts, _normalize_coverage(coverage))
 
-    def count(self, r: int, limit: int | None = None) -> int:
+    def _limit(self, limit: int | None) -> int:
+        """The table limit a query asks for; None means the only one."""
         if limit is None:
             if len(self.limits) != 1:
                 raise ValueError("limit is required for a multi-limit table")
-            limit = self.limits[0]
+            return self.limits[0]
+        if limit not in self.limits:
+            raise ValueError(f"limit {limit} is not in the table's limits {self.limits}")
+        return limit
+
+    def count(self, r: int, limit: int | None = None) -> int:
+        limit = self._limit(limit)
+        if not 0 <= r < self.modulus:
+            raise ValueError(f"class {r} is outside [0, {self.modulus})")
         return self.counts.get((r, limit), 0)
 
     def total(self, limit: int | None = None) -> int:
-        if limit is None:
-            if len(self.limits) != 1:
-                raise ValueError("limit is required for a multi-limit table")
-            limit = self.limits[0]
+        limit = self._limit(limit)
         return sum(self.counts.get((r, limit), 0) for r in range(self.modulus))
 
     def merge(self, other: "CountTable") -> "CountTable":
@@ -487,7 +493,10 @@ def ingest_psp_list(lines, m: int, base: int = 2) -> CountTable:
 
 
 def format_fraction(num: int, den: int, places: int = 6) -> str:
-    """Exact fixed-point rendering of num/den, round-half-even."""
+    """Exact fixed-point rendering of num/den, round-half-even; den = 0
+    renders as zero (an empty table) and den < 0 is a ValueError."""
+    if den < 0:
+        raise ValueError("den must be >= 0")
     if den == 0:
         num, den = 0, 1
     scale = 10**places

@@ -322,9 +322,8 @@ def test_criterion_09_formulas_match_brute_counts():
 
 
 def test_criterion_09_F_star_fixed_points_to_1e5():
-    spf = pp.spf_table(0, 10**5 + 1)
     for n in range(1, 10**5 + 1):
-        f = spf.factorize(n) if n > 1 else 1
+        f = pp.factor(n) if n > 1 else 1
         hit = pp.F_star(f) == n
         expected = n == 1 or pp.is_prime(n) or pp.is_carmichael(f)
         assert hit == expected, n
@@ -371,8 +370,7 @@ def test_criterion_10_group_suite():
 
 def test_criterion_11_structure_equivalence():
     limit = 10**5
-    spf = pp.spf_table(0, limit + 1)
-    via_divisors = {n for n in range(2, limit + 1) if pp.D(spf.factorize(n)) > 0}
+    via_divisors = {n for n in range(2, limit + 1) if pp.D(pp.factor(n)) > 0}
     via_membership = set()
     for b in range(2, limit // 2 + 1):
         for n in range(2 * b, limit + 1, b):

@@ -7,7 +7,6 @@ import pytest
 
 import pseudoprimes as pp
 from pseudoprimes import bulk
-from pseudoprimes.errors import CapacityError
 
 
 def trial_is_prime(n: int) -> bool:
@@ -74,8 +73,8 @@ def test_is_prime_examples():
 
 
 def test_is_prime_agrees_with_sieve_to_1e6():
-    flags = bulk.prime_flags(10**6)
-    assert all(pp.is_prime(n) == bool(flags[n]) for n in range(10**6 + 1))
+    primes = set(bulk.primes_upto(10**6).tolist())
+    assert all(pp.is_prime(n) == (n in primes) for n in range(10**6 + 1))
 
 
 def test_is_prime_against_trial_division_random_band():
@@ -136,40 +135,28 @@ def test_factorization_invariants_enforced():
 
 
 # ---------------------------------------------------------------------------
-# spf table
+# smallest-prime-factor array
 
 
-def test_spf_table_small_window():
-    t = pp.spf_table(2, 10)
-    assert [t[n] for n in range(2, 10)] == [2, 3, 2, 5, 2, 7, 2, 3]
+def test_spf_window_small_values():
+    assert bulk.spf_window(10).tolist() == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3]
 
 
-def test_spf_table_561():
-    assert pp.spf_table(0, 1000)[561] == 3
+def test_spf_window_561():
+    assert bulk.spf_window(1000)[561] == 3
 
 
-def test_spf_table_primes_map_to_themselves():
-    t = pp.spf_table(2, 5000)
+def test_spf_window_primes_map_to_themselves():
+    spf = bulk.spf_window(5000)
     for p in bulk.primes_upto(4999).tolist():
-        assert t[p] == p
+        assert spf[p] == p
 
 
-def test_spf_table_agrees_with_factor_on_high_window():
+def test_spf_window_agrees_with_factor_past_1e6():
     lo, hi = 10**6, 10**6 + 2000
-    t = pp.spf_table(lo, hi)
+    spf = bulk.spf_window(hi)
     for n in range(lo, hi):
-        assert t[n] == pp.factor(n).factors[0][0]
-
-
-def test_spf_table_factorize():
-    t = pp.spf_table(0, 20000)
-    for n in (2, 60, 561, 16384, 19999):
-        assert t.factorize(n) == pp.factor(n)
-
-
-def test_spf_table_capacity_guard():
-    with pytest.raises(CapacityError):
-        pp.spf_table(0, (1 << 40) + 1)
+        assert spf[n] == pp.factor(n).factors[0][0]
 
 
 # ---------------------------------------------------------------------------

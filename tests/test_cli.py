@@ -24,6 +24,8 @@ def test_union_density_output(capsys):
 def test_sb_density_output(capsys):
     code, out, _ = _capture(capsys, ["ordowski", "sb-density", "--b", "2"])
     assert code == 0 and out == "1/4 0.250000\n"
+    code, out, _ = _capture(capsys, ["ordowski", "sb-density", "--b", "2e7"])
+    assert code == 0 and out == "1/400000000000000 0.000000\n"  # G_b is trivial
 
 
 def test_scientific_shorthand_flags(capsys):
@@ -153,6 +155,10 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
         (lambda: sieve.enumerate_even_psp(-5), "psp even --limit -5"),
         (lambda: sieve.even_psp_brute(-5), None),
         (lambda: sieve.scan_empty_classes(2, 5, -5), "psp empty-classes --mod 5 --limit -5"),
+        (lambda: sieve.count_psp_in_classes(2, 4, 1000).count(1, 10**4), None),
+        (lambda: sieve.count_psp_in_classes(2, 4, 1000).total(10**4), None),
+        (lambda: sieve.count_psp_in_classes(2, 4, 1000).count(7), None),
+        (lambda: sieve.count_psp_in_classes(2, 4, 1000).count(-1), None),
     ],
     ids=[
         "mod-0",
@@ -164,6 +170,10 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
         "even-negative-limit",
         "even-brute-negative-limit",
         "empty-classes-negative-limit",
+        "count-unscanned-limit",
+        "total-unscanned-limit",
+        "count-class-above-modulus",
+        "count-negative-class",
     ],
 )
 def test_bad_sizes_are_value_errors(capsys, call, argv):

@@ -130,6 +130,17 @@ def test_sb_density_counts_one_period():
         assert Fraction(members, period) == pp.sb_density(b)
 
 
+def test_sb_density_past_the_order_census_cap():
+    # G_b holds the units whose order is coprime to b, so N(G_b) is the sum
+    # of count/d over those orders d of the census
+    for b in (10**7 + 1, 2**61 - 1):
+        n_value = sum(
+            (Fraction(c, d) for d, c in pp.unit_order_counts(b).items() if gcd(d, b) == 1),
+            Fraction(0),
+        )
+        assert pp.sb_density(b) == n_value / (b * b), b
+
+
 def test_union_density_examples():
     assert pp.union_density(2) == Fraction(1, 4)
     assert pp.union_density(3) == Fraction(7, 18)
@@ -166,11 +177,10 @@ def test_c1_partial_examples():
 def test_count_S_against_per_divisor_oracle():
     # independent oracle: per-n divisor scan through the congruence
     limit = 3000
-    spf = pp.spf_table(0, limit + 1)
     members = 0
     dsum = 0
     for n in range(2, limit + 1):
-        d = pp.D(spf.factorize(n))
+        d = pp.D(pp.factor(n))
         members += d > 0
         dsum += d
     assert pp.count_S(limit) == (members, dsum)

@@ -105,9 +105,8 @@ def test_D_matches_naive_divisor_scan():
 
 def test_every_2_mod_4_above_2_has_a_divisor_base():
     # n = 2m with m odd > 1: the base m always works
-    spf = pp.spf_table(0, 10**5 + 1)
     for n in range(6, 10**5 + 1, 4):
-        assert pp.D(spf.factorize(n)) >= 1
+        assert pp.D(pp.factor(n)) >= 1
 
 
 def test_D_at_least_k_for_crt_witnesses():

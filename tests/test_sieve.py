@@ -417,3 +417,5 @@ def test_format_fraction_round_half_even():
     assert pp.format_fraction(1, 2000000) == "0.000000"  # exact half, even side
     assert pp.format_fraction(3, 2000000) == "0.000002"  # exact half, odd side
     assert pp.format_fraction(0, 0) == "0.000000"
+    with pytest.raises(ValueError):
+        pp.format_fraction(1, -2)
