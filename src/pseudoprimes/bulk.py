@@ -115,33 +115,46 @@ def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coprime_part_array(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Largest divisor of each x coprime to the matching b."""
+    """Largest divisor of each x coprime to the matching b (every x, b >= 1).
+
+    Each pass divides out g = gcd(x, b) and works only on the entries whose
+    g was above 1.  The next g is gcd(x / g, g), which equals gcd(x / g, b):
+    a prime p of b left in x / g divides g, and if v_p(x / g) > v_p(g) then
+    v_p(x) > v_p(g), so v_p(g) = v_p(b)."""
+    if x.size and (x.min() < 1 or b.min() < 1):
+        raise ValueError("coprime_part_array needs every x >= 1 and b >= 1")
     out = x.copy()
+    act = np.arange(out.size)
+    g = np.gcd(out, b)
     while True:
-        g = np.gcd(out, b)
-        active = g > 1
-        if not active.any():
+        moving = g > 1
+        act, g = act[moving], g[moving]
+        if not act.size:
             return out
-        out[active] //= g[active]
+        out[act] //= g
+        g = np.gcd(out[act], g)
 
 
 def tau_array(x: np.ndarray, spf: np.ndarray) -> np.ndarray:
-    """Divisor count of each x; spf must cover values up to x.max()."""
+    """Divisor count of each x >= 1; spf must cover values up to x.max().
+
+    Each pass strips the smallest prime of the entries still above 1; the
+    exponent count of that prime works only on the entries it still divides."""
+    if x.size and x.min() < 1:
+        raise ValueError("tau_array needs every x >= 1")
     tau = np.ones(x.shape, dtype=np.int64)
-    cur = x.astype(np.int64).copy()
-    while True:
-        act = np.flatnonzero(cur > 1)
-        if act.size == 0:
-            return tau
-        c = cur[act]
-        p = spf[c]
+    act = np.flatnonzero(x > 1)
+    cur = x[act].astype(np.int64)
+    while act.size:
+        p = spf[cur]
+        cur //= p
         e = np.ones(act.size, dtype=np.int64)
-        c //= p
-        while True:
-            m = c % p == 0
-            if not m.any():
-                break
-            e[m] += 1
-            c[m] //= p[m]
-        cur[act] = c
+        again = np.flatnonzero(cur % p == 0)
+        while again.size:
+            e[again] += 1
+            cur[again] //= p[again]
+            again = again[cur[again] % p[again] == 0]
         tau[act] *= e + 1
+        left = cur > 1
+        act, cur = act[left], cur[left]
+    return tau

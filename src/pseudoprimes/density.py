@@ -44,6 +44,7 @@ from .errors import CapacityError
 from .sieve import ResidueClass
 
 TAIL_SCALE = 10**18
+_TAIL_STEPS = (10**4,) * 4 + (10**2,)  # long-division steps; product TAIL_SCALE
 
 _ORDER_CENSUS_CAP = 10**7
 _CLASS_SYSTEM_CAP = 10**5
@@ -256,8 +257,14 @@ def count_S(limit: int) -> tuple[int, int]:
     number of divisor bases of n).
 
     A base a works for n exactly when 1 < a < n, a | n and a**n == a (mod n).
-    The scan enumerates divisor pairs n = s*t grouped by the smaller side s,
-    so each (a, n) pair is tested by the congruence exactly once and no
+    With n = a*b that forces gcd(a, b) = 1 (for a prime p dividing both,
+    p**(v_p(a)+1) divides n and a**n but not a), and then reduces to
+    a**(n-1) == 1 (mod b).
+    The scan enumerates divisor pairs n = s*t with s < t grouped by the
+    smaller side s, keeps the t coprime to s, and tests the base s modulo t
+    and the base t modulo s.  On the t side the exponent n-1 is taken mod
+    lambda(s): t is a unit mod s, so t**lambda(s) == 1 (mod s).  Each (a, n)
+    pair is tested exactly once (s = t is never coprime), and no
     factorizations are needed.
     """
     if limit < 0:
@@ -267,14 +274,18 @@ def count_S(limit: int) -> tuple[int, int]:
     member = np.zeros(limit + 1, dtype=bool)
     total = 0
     chunk = 1 << 22
-    for s in range(2, isqrt(limit) + 1):
+    root = isqrt(limit)
+    _, lam = bulk.phi_lambda_arrays(root)
+    for s in range(2, root + 1):
         su = np.uint64(s)
         tmax = limit // s
-        for t0 in range(s, tmax + 1, chunk):
+        for t0 in range(s + 1, tmax + 1, chunk):
             t = np.arange(t0, min(t0 + chunk, tmax + 1), dtype=np.uint64)
+            t = t[np.gcd(t, su) == 1]
             n = su * t
-            pass_s = bulk.powmod_vector(s, n, n) == su  # divisor a = s
-            pass_t = (bulk.powmod_vector(t, n, n) == t) & (t > su)  # divisor a = t
+            e = n - np.uint64(1)
+            pass_s = bulk.powmod_vector(s, e, t) == 1  # divisor a = s
+            pass_t = bulk.powmod_vector(t, e % np.uint64(lam[s]), np.full(t.size, su)) == 1
             total += int(pass_s.sum()) + int(pass_t.sum())
             member[n[pass_s | pass_t]] = True
     return int(member.sum()), total
@@ -299,6 +310,17 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     phi and lambda come from sieves; each term is accumulated as
     floor(term * 10**18), so the result is an exact rational lower bound of
     the true sum with deficit below (b_hi - b_lo) / 10**18.
+
+    lambda0 and phi0 are the exponent and the order of G_b, so lambda0 |
+    phi0 by Lagrange's theorem, and phi0 / lambda0 is the coprime-to-b part
+    of phi(b) / lambda(b).  Each term is num / b**2 with the integer
+    num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m, num <= phi0 < b**2
+    and every term is below 1.  Its floor at scale 10**18 is found by long
+    division in int64: the remainder stays below b**2 <= 4 * 10**14 and is
+    multiplied by at most 10**4 per step, so no value reaches
+    4 * 10**18 < 2**63.  The digits of one step are summed over all b
+    (each column sum is below 10**4 * 2 * 10**7) before they are combined
+    in a Python int, so the total cannot wrap.
     """
     if not 2 <= b_lo < b_hi:
         raise ValueError("need 2 <= b_lo < b_hi")
@@ -307,22 +329,16 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     phi, lam = bulk.phi_lambda_arrays(b_hi)
     b = np.arange(b_lo + 1, b_hi + 1, dtype=np.int64)
     lam0 = bulk.coprime_part_array(lam[b_lo + 1 :], b)
-    phi0 = bulk.coprime_part_array(phi[b_lo + 1 :], b)
+    ratio = bulk.coprime_part_array(phi[b_lo + 1 :] // lam[b_lo + 1 :], b)  # phi0 / lambda0
     del phi, lam
     spf = bulk.spf_window(int(lam0.max()) + 1)
-    tau0 = bulk.tau_array(lam0, spf)
-    del spf
+    rem = bulk.tau_array(lam0, spf) * ratio  # num < b**2: the first remainder
+    del spf, lam0, ratio
+    den = b * b
     acc = 0
-    chunk = 1 << 20
-    for i in range(0, b.size, chunk):
-        rows = zip(
-            tau0[i : i + chunk].tolist(),
-            phi0[i : i + chunk].tolist(),
-            lam0[i : i + chunk].tolist(),
-            b[i : i + chunk].tolist(),
-        )
-        for t, f, l, bb in rows:
-            acc += t * f * TAIL_SCALE // (l * bb * bb)
+    for step in _TAIL_STEPS:
+        digits, rem = np.divmod(rem * step, den)
+        acc = acc * step + int(digits.sum())
     return Fraction(acc, TAIL_SCALE)
 
 

@@ -290,13 +290,11 @@ def test_criterion_08_tail_bound_term_against_sympy():
 
 
 def test_criterion_08_tail_bound_to_1e6_pinned_decimal():
-    value = float(pp.tail_bound(10**4, 10**6))
-    assert abs(value - 0.00638211) <= 1e-8, f"{value:.10f}"
+    assert pp.tail_bound(10**4, 10**6) == Fraction(6382109508071828, 10**18)
 
 
 def test_criterion_08_tail_bound_to_1e7_pinned_decimal():
-    value = float(pp.tail_bound(10**4, 10**7))
-    assert abs(value - 0.00672801) <= 1e-8, f"{value:.10f}"
+    assert pp.tail_bound(10**4, 10**7) == Fraction(6728006885023358, 10**18)
 
 
 def test_criterion_08_per_b_domination():

@@ -3,6 +3,7 @@
 import random
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 import pseudoprimes as pp
@@ -208,6 +209,50 @@ def test_carmichael_lambda_is_maximal_order():
             orders.append(d)
         assert max(orders) == lam
         assert all(lam % d == 0 for d in orders)
+
+
+# ---------------------------------------------------------------------------
+# multiplicative-function arrays against the scalar functions
+
+
+def test_phi_lambda_arrays_match_scalar_to_1e4():
+    hi = 10**4
+    phi, lam = bulk.phi_lambda_arrays(hi)
+    assert (phi[0], lam[0], phi[1], lam[1]) == (0, 0, 1, 1)
+    for n in range(2, hi + 1):
+        f = pp.factor(n)
+        assert (phi[n], lam[n]) == (pp.euler_phi(f), pp.carmichael_lambda(f)), n
+
+
+def test_coprime_part_array_matches_scalar():
+    rng = random.Random(8)
+    pairs = [(1, 1), (1, 30), (30, 1), (2**40, 2), (2**40, 6), (3**25, 12), (7**9, 49)]
+    pairs += [(rng.randrange(1, 10**12), rng.randrange(1, 10**6)) for _ in range(3000)]
+    pairs += [(rng.choice((2, 3, 5, 7)) ** rng.randrange(1, 15) * rng.randrange(1, 1000),
+               rng.choice((2, 3, 5, 6, 10, 30, 210))) for _ in range(1000)]
+    x = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    got = bulk.coprime_part_array(x, b).tolist()
+    assert got == [pp.coprime_part(xi, bi) for xi, bi in pairs]
+
+
+def test_tau_array_matches_scalar():
+    rng = random.Random(9)
+    hi = 10**6
+    xs = [1, 2, 4, 2**19, 3**12, 720720, hi] + [rng.randrange(1, hi + 1) for _ in range(5000)]
+    got = bulk.tau_array(np.array(xs, dtype=np.int64), bulk.spf_window(hi + 1)).tolist()
+    assert got == [pp.tau(x) for x in xs]
+
+
+def test_bulk_arrays_reject_entries_below_1():
+    spf = bulk.spf_window(100)
+    for bad in (0, -6):
+        with pytest.raises(ValueError):
+            bulk.coprime_part_array(np.array([4, bad]), np.array([6, 6]))
+        with pytest.raises(ValueError):
+            bulk.coprime_part_array(np.array([4, 6]), np.array([6, bad]))
+        with pytest.raises(ValueError):
+            bulk.tau_array(np.array([12, bad]), spf)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_c1_partial_examples():
 
 def test_count_S_against_per_divisor_oracle():
     # independent oracle: per-n divisor scan through the congruence
-    limit = 3000
+    limit = 30000
     members = 0
     dsum = 0
     for n in range(2, limit + 1):
@@ -205,6 +205,14 @@ def test_count_S_guard():
 def test_tail_bound_term_dominates_density():
     for b in list(range(2, 2001)) + [2310, 4620, 9240]:
         assert pp.sb_density(b) <= pp.tail_bound_term(b), b
+
+
+def test_lambda0_divides_phi0_to_1e5():
+    # tail_bound sums tau(lambda0) * (phi0 / lambda0) / b**2 in integers
+    for b in range(2, 10**5 + 1):
+        f = pp.factor(b)
+        lam0 = pp.coprime_part(pp.carmichael_lambda(f), b)
+        assert pp.coprime_part(pp.euler_phi(f), b) % lam0 == 0, b
 
 
 def test_tail_bound_matches_exact_sum_on_window():
