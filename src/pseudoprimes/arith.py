@@ -45,10 +45,10 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
         if n % p == 0:
-            return False
+            return n == p
+    if n < 257 * 257:  # no prime factor below 257, the prime after 251
+        return True
     # n is odd and has no factor <= 251; run the fixed witness set.
     d = n - 1
     r = (d & -d).bit_length() - 1

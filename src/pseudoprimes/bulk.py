@@ -85,10 +85,9 @@ def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
     p <= sqrt(hi), the residual cofactor of n is 1 or a single large prime,
     which is applied in one vectorized pass.
     """
-    n = np.arange(hi + 1, dtype=np.int64)
-    phi = n.copy()
+    phi = np.arange(hi + 1, dtype=np.int64)
     lam = np.ones(hi + 1, dtype=np.int64)
-    red = n.copy()  # residual after removing small-prime parts
+    red = phi.copy()  # residual after removing small-prime parts
     red[:2] = 1
     for p in primes_upto(isqrt(hi)).tolist():
         phi[p::p] = phi[p::p] // p * (p - 1)

@@ -246,10 +246,11 @@ def iter_psp_values(a: int, lo: int, hi: int):
     sqrt(min(hi, 2**32)), and the Fermat test runs on the survivors only.
     Compositeness comes from a windowed prime sieve below 2**32; above it
     the Fermat test runs in scalar arithmetic (slow) and the deterministic
-    primality test runs on its hits only.  hi > 2**63 raises CapacityError.
+    primality test runs on its hits only.  hi > 2**63 raises CapacityError;
+    a base outside [2, 2**63), the integer domain of arith, is a ValueError.
     """
-    if a < 2:
-        raise ValueError("base must be >= 2")
+    if not 2 <= a < INT_DOMAIN:
+        raise ValueError("base must lie in [2, 2**63)")
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
     _check_capacity(hi)
@@ -315,7 +316,7 @@ class CountTable:
 
     @classmethod
     def from_values(cls, base, modulus, limits, values, coverage) -> "CountTable":
-        limits = tuple(sorted(int(x) for x in limits))
+        limits = tuple(sorted({int(x) for x in limits}))
         counts: dict = {}
         values = np.asarray(values, dtype=np.uint64)
         for lim in limits:

@@ -1,12 +1,13 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from pseudoprimes import density, sieve
-from pseudoprimes.cli import run
+from pseudoprimes.cli import _integer, run
 
 
 def _capture(capsys, argv):
@@ -159,6 +160,10 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
         (lambda: sieve.count_psp_in_classes(2, 4, 1000).total(10**4), None),
         (lambda: sieve.count_psp_in_classes(2, 4, 1000).count(7), None),
         (lambda: sieve.count_psp_in_classes(2, 4, 1000).count(-1), None),
+        (lambda: sieve.psp_values(2**64 + 3, 100), None),
+        (lambda: sieve.count_psp_table(2**70, 4, [100]), None),
+        (lambda: sieve.scan_empty_classes(2**64 + 1, 4, 100), None),
+        (lambda: sieve.count_psp_in_classes(2**64, 8, 100), None),
     ],
     ids=[
         "mod-0",
@@ -174,6 +179,10 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
         "total-unscanned-limit",
         "count-class-above-modulus",
         "count-negative-class",
+        "values-base-past-2-pow-64",
+        "count-table-base-2-pow-70",
+        "empty-classes-base-past-2-pow-64",
+        "count-classes-base-2-pow-64",
     ],
 )
 def test_bad_sizes_are_value_errors(capsys, call, argv):
@@ -202,9 +211,43 @@ def test_usage_exit_codes(capsys):
     assert code == 2 and "class" in err
 
 
+def test_integer_flags_parse_exactly(capsys):
+    assert _integer("9.007199254740993e15") == 9007199254740993  # float gives ...992
+    assert _integer("9.223372036854775807e18") == 2**63 - 1
+    for text, value in [("1e8", 10**8), ("2e7", 2 * 10**7), ("1_000", 1000), (" 12 ", 12),
+                        ("-5", -5), ("1.0e1", 10)]:
+        assert _integer(text) == value
+    for text in ["9.223372036854775808e18", "1e400", "1e999999999", "1.5", "1e-3", "nan",
+                 "inf", "0x10", ""]:
+        code, out, err = _capture(capsys, ["ordowski", "sb-density", "--b", text])
+        assert code == 2 and out == "" and "usage:" in err and "Traceback" not in err, text
+    exact = _capture(capsys, ["ordowski", "sb-density", "--b", "9007199254740993"])
+    assert exact[0] == 0
+    assert _capture(capsys, ["ordowski", "sb-density", "--b", "9.007199254740993e15"]) == exact
+
+
+HELP_FLAGS = {
+    "psp count": "--base --mod --limit --format",
+    "psp even": "--limit --format",
+    "psp class-check": "--base --mod --class --format",
+    "psp empty-classes": "--base --mod --limit --format",
+    "psp ingest": "--input --mod --base --format",
+    "ordowski count": "--limit --format",
+    "ordowski sb-density": "--b",
+    "ordowski union-density": "--k",
+    "ordowski c1": "--b-max",
+    "ordowski tail-bound": "--lo --hi",
+    "ordowski group-check": "--group",
+}
+
+
 def test_help_exits_zero(capsys):
     assert _capture(capsys, ["--help"])[0] == 0
     assert _capture(capsys, ["psp", "--help"])[0] == 0
+    for command, flags in HELP_FLAGS.items():
+        code, out, _ = _capture(capsys, command.split() + ["--help"])
+        listed = dict.fromkeys(re.findall(r"--[a-z][a-z-]*", out))
+        assert code == 0 and list(listed) == flags.split() + ["--help"], command
 
 
 def test_tail_bound_cli(capsys):

@@ -390,6 +390,15 @@ def test_emit_multi_limit_has_no_fraction_column():
     assert len(lines) == 5
 
 
+def test_repeated_limits_count_once():
+    def emitted(m, limits):
+        return pp.emit_table(pp.count_psp_table(2, m, limits))
+
+    assert emitted(2, [400, 400, 341]) == emitted(2, [341, 400])
+    assert emitted(4, [10, 10]) == emitted(4, [10])
+    assert "fraction" in emitted(4, [10, 10])
+
+
 def test_emit_empty_table_is_header_only():
     t = pp.CountTable(2, 4, (), {}, ())
     assert pp.emit_table(t, "csv") == "base,modulus,class,limit,count,empty_predicted\n"
