@@ -16,6 +16,7 @@ import numpy as np
 from .arith import _lambda_prime_power
 
 VECTOR_MOD_LIMIT = 1 << 32
+_RUN = 1 << 20  # entries per _spf_runs chunk; bounds its temporaries
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -77,39 +78,47 @@ def composite_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return comp
 
 
+def _spf_runs(spf: np.ndarray):
+    """Walk n over [2, spf.size) in ascending chunks [s, e) with e <= 2s and
+    at most _RUN entries; yield (slice(s, e), p, m, pe, rest) with p = spf[n],
+    m = n // p, pe = p**v_p(n) and rest = n // pe.
+
+    pe[n] is pe[m] * p when spf[m] == p and p otherwise.  m and rest are at
+    most n/2 < s, and the primes of rest all exceed p >= 2, so pe <= n/3 < s
+    unless n == pe: every value a chunk reads from an earlier index is final.
+    """
+    pe_all = np.zeros(spf.size, dtype=np.int64)
+    s = 2
+    while s < spf.size:
+        e = min(2 * s, s + _RUN, spf.size)
+        n = np.arange(s, e, dtype=np.int64)
+        p = spf[s:e]
+        m = n // p
+        pe = np.where(spf[m] == p, pe_all[m] * p, p)
+        pe_all[s:e] = pe
+        yield slice(s, e), p, m, pe, n // pe
+        s = e
+
+
 def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(phi, lam) with phi[n] = Euler phi and lam[n] = universal exponent of
     the unit group mod n, for 0 <= n <= hi (index 0 is set to 0).
 
-    Small primes are applied by strided slices; after dividing out every prime
-    p <= sqrt(hi), the residual cofactor of n is 1 or a single large prime,
-    which is applied in one vectorized pass.
-    """
-    phi = np.arange(hi + 1, dtype=np.int64)
-    lam = np.ones(hi + 1, dtype=np.int64)
-    red = phi.copy()  # residual after removing small-prime parts
-    red[:2] = 1
-    for p in primes_upto(isqrt(hi)).tolist():
-        phi[p::p] = phi[p::p] // p * (p - 1)
-        pe = p
-        e = 1
-        while pe <= hi:
-            # ascending e makes the deepest power win the lcm
-            comp = _lambda_prime_power(p, e)
-            if comp > 1:
-                sl = lam[pe::pe]
-                g = np.gcd(sl, comp)
-                sl //= g
-                sl *= comp
-            red[pe::pe] //= p
-            pe *= p
-            e += 1
-    big = np.flatnonzero(red > 1)  # residual prime q > sqrt(hi), exponent 1
-    q = red[big]
-    phi[big] = phi[big] // q * (q - 1)
-    g = np.gcd(lam[big], q - 1)
-    lam[big] = lam[big] // g * (q - 1)
-    phi[0] = lam[0] = 0
+    One pass of _spf_runs: phi(n) = phi(m) * p if p | m, else phi(m) * (p-1);
+    lam(n) = lcm(lam(rest), lam(pe)), with lam(p) = p - 1 and lam(p**k) for
+    k >= 2 from arith._lambda_prime_power."""
+    phi = np.zeros(hi + 1, dtype=np.int64)
+    lam = np.zeros(hi + 1, dtype=np.int64)
+    phi[1:2] = lam[1:2] = 1
+    for sl, p, m, pe, rest in _spf_runs(spf_window(hi + 1)):
+        phi[sl] = phi[m] * np.where(pe > p, p, p - 1)
+        lam[sl] = p - 1
+        for i in np.flatnonzero((rest == 1) & (pe > p)).tolist():
+            q, k, n = int(p[i]), 1, sl.start + i
+            while q**k < n:
+                k += 1
+            lam[n] = _lambda_prime_power(q, k)
+        lam[sl] = np.lcm(lam[rest], lam[pe])  # lam(n) itself when rest == 1
     return phi, lam
 
 
@@ -137,23 +146,15 @@ def coprime_part_array(x: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tau_array(x: np.ndarray, spf: np.ndarray) -> np.ndarray:
     """Divisor count of each x >= 1; spf must cover values up to x.max().
 
-    Each pass strips the smallest prime of the entries still above 1; the
-    exponent count of that prime works only on the entries it still divides."""
+    One pass of _spf_runs over the range of spf: tau(n) = tau(m) + 1 when n
+    is the prime power pe, else tau(rest) * tau(pe)."""
     if x.size and x.min() < 1:
         raise ValueError("tau_array needs every x >= 1")
-    tau = np.ones(x.shape, dtype=np.int64)
-    act = np.flatnonzero(x > 1)
-    cur = x[act].astype(np.int64)
-    while act.size:
-        p = spf[cur]
-        cur //= p
-        e = np.ones(act.size, dtype=np.int64)
-        again = np.flatnonzero(cur % p == 0)
-        while again.size:
-            e[again] += 1
-            cur[again] //= p[again]
-            again = again[cur[again] % p[again] == 0]
-        tau[act] *= e + 1
-        left = cur > 1
-        act, cur = act[left], cur[left]
-    return tau
+    if x.size and x.max() >= spf.size:
+        raise ValueError("spf must cover every x")
+    tau = np.zeros(spf.size, dtype=np.int64)
+    tau[1:2] = 1
+    for sl, _, m, pe, rest in _spf_runs(spf):
+        tau[sl] = tau[m] + 1
+        tau[sl] = tau[rest] * tau[pe]  # tau(n) itself when rest == 1
+    return tau[x]

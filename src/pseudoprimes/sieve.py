@@ -38,6 +38,7 @@ from .arith import INT_DOMAIN, coprime_part, factor, is_prime, jacobi, multiplic
 from .errors import CapacityError, InputFormatError
 
 _CHUNK = 1 << 22
+_PLACES = 6  # decimals of format_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +358,7 @@ class CountTable:
 
 
 def count_psp_in_classes(
-    a: int, m: int, limit: int, segment: tuple[int, int] | range | None = None
+    a: int, m: int, limit: int, segment: tuple[int, int] | None = None
 ) -> CountTable:
     """Count base-a pseudoprimes n <= limit per class n mod m over one
     half-open segment (default: all of [2, limit+1))."""
@@ -365,14 +366,7 @@ def count_psp_in_classes(
         raise ValueError("modulus must be >= 1")
     _check_limit(limit)
     top = max(2, limit + 1)
-    if segment is None:
-        lo, hi = 2, top
-    elif isinstance(segment, range):
-        if segment.step != 1:
-            raise ValueError("segment must have step 1")
-        lo, hi = segment.start, segment.stop
-    else:
-        lo, hi = segment
+    lo, hi = (2, top) if segment is None else segment
     if not 2 <= lo <= hi <= top:
         raise ValueError("segment must lie within [2, limit+1)")
     return CountTable.from_values(a, m, (limit,), _psp_array(a, lo, hi), ((lo, hi),))
@@ -424,6 +418,7 @@ def even_psp_brute(limit: int) -> list[int]:
     """Reference enumerator: every even n in [4, limit] tested directly,
     with no candidate-class shortcuts."""
     _check_limit(limit)
+    _check_capacity(limit + 1)
     found: list[int] = []
     for wlo, whi in _windows(4, limit + 1):
         ns = np.arange(wlo + wlo % 2, whi, 2, dtype=np.uint64)
@@ -493,20 +488,21 @@ def ingest_psp_list(lines, m: int, base: int = 2) -> CountTable:
 # rendering
 
 
-def format_fraction(num: int, den: int, places: int = 6) -> str:
-    """Exact fixed-point rendering of num/den, round-half-even; den = 0
-    renders as zero (an empty table) and den < 0 is a ValueError."""
+def format_fraction(num: int, den: int) -> str:
+    """Exact fixed-point rendering of num/den to _PLACES decimals,
+    round-half-even; den = 0 renders as zero (an empty table) and den < 0 is
+    a ValueError."""
     if den < 0:
         raise ValueError("den must be >= 0")
     if den == 0:
         num, den = 0, 1
-    scale = 10**places
+    scale = 10**_PLACES
     q, rem = divmod(num * scale, den)
     if 2 * rem > den or (2 * rem == den and q % 2 == 1):
         q += 1
     sign = "-" if q < 0 else ""
     q = abs(q)
-    return f"{sign}{q // scale}.{q % scale:0{places}d}"
+    return f"{sign}{q // scale}.{q % scale:0{_PLACES}d}"
 
 
 def render_rows(header: tuple[str, ...], rows, format: str = "csv") -> str:

@@ -244,6 +244,23 @@ def test_tau_array_matches_scalar():
     assert got == [pp.tau(x) for x in xs]
 
 
+def test_arrays_past_the_first_short_chunk():
+    # chunks of 2**20 entries stop doubling at 2**21, so the range to 2**22
+    # holds chunks that read values from two and three chunks back
+    hi = 2**22 + 1000
+    phi, lam = bulk.phi_lambda_arrays(hi)
+    tau = bulk.tau_array(np.arange(1, hi + 1), bulk.spf_window(hi + 1))
+    rng = random.Random(10)
+    ns = [n for c in (3 * 2**20, 2**22) for n in range(c - 300, c + 301)]
+    ns += [2**21, 2**22, 3**13, 1021**2] + [rng.randrange(2, hi + 1) for _ in range(2000)]
+    for n in ns:
+        f = pp.factor(n)
+        assert (phi[n], lam[n], tau[n - 1]) == (
+            pp.euler_phi(f), pp.carmichael_lambda(f), pp.tau(f)), n
+    for hi, expected in ((0, [0]), (1, [0, 1]), (2, [0, 1, 1])):
+        assert [a.tolist() for a in bulk.phi_lambda_arrays(hi)] == [expected, expected]
+
+
 def test_bulk_arrays_reject_entries_below_1():
     spf = bulk.spf_window(100)
     for bad in (0, -6):
@@ -253,6 +270,8 @@ def test_bulk_arrays_reject_entries_below_1():
             bulk.coprime_part_array(np.array([4, 6]), np.array([6, bad]))
         with pytest.raises(ValueError):
             bulk.tau_array(np.array([12, bad]), spf)
+    with pytest.raises(ValueError):  # spf must cover x.max()
+        bulk.tau_array(np.array([200]), spf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """The package's modules import one another in fixed layers: each module
-reads only modules of a lower layer, so the import graph has no cycle."""
+reads only modules of a lower layer, so the import graph has no cycle; and
+every name the benchmark's tracer wraps still exists where it looks."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pseudoprimes"
+from pseudoprimes import sieve
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pseudoprimes"
 
 LAYER = {
     "errors": 0,
@@ -52,3 +57,12 @@ def test_modules_import_only_lower_layers():
     for module, layer in LAYER.items():
         for imported in _package_imports(module):
             assert LAYER[imported] < layer, (module, imported)
+
+
+def test_benchmark_traced_names_exist():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for owner, attr, *_ in spans.LAYERS:
+        assert attr in vars(owner), (owner, attr)
+    assert hasattr(sieve.JacobiCondition, "UNKNOWN")  # read by the class_conditions hook

@@ -182,6 +182,7 @@ def test_scans_past_2_pow_63_raise_capacity_error():
         with pytest.raises(CapacityError):
             list(pp.iter_psp_values(2, lo, hi))
     for call in (lambda: pp.psp_values(2, 2**63), lambda: pp.enumerate_even_psp(2**63),
+                 lambda: pp.even_psp_brute(2**63),
                  lambda: pp.count_psp_in_classes(2, 8, 2**64),
                  lambda: pp.count_psp_table(2, 8, [10, 2**64])):
         with pytest.raises(CapacityError):
@@ -204,14 +205,6 @@ def test_count_limit_3_is_all_zero():
     assert pp.psp_values(2, 0).size == 0
     assert pp.enumerate_even_psp(0) == []
     assert pp.count_psp_table(2, 4, [0]).total() == 0
-
-
-def test_count_accepts_range_segments():
-    t1 = pp.count_psp_in_classes(2, 4, 10**4, segment=range(2, 5000))
-    t2 = pp.count_psp_in_classes(2, 4, 10**4, segment=(2, 5000))
-    assert t1 == t2
-    with pytest.raises(ValueError):
-        pp.count_psp_in_classes(2, 4, 10**4, segment=range(2, 5000, 2))
 
 
 def test_count_psp_small_table_known_values(psp2_1e7):
