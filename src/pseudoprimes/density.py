@@ -12,10 +12,11 @@ b, so with N(G) = sum over x in G of 1/ord(x)
 
 The per-b tail term tau(lambda0) phi0 / (lambda0 b**2), where lambda0 and phi0
 are the exponent and the order of G_b, is the group inequality
-N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2; both numbers
-come from check_group_bounds on the p-components.  On top of these sit exact
-union densities by CRT inclusion-exclusion and partial sums of the density
-series.
+N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2.  G_b is listed
+once, as p-components (_gb_components); sb_density multiplies group_N over
+them and tail_bound_term reads the bound from check_group_bounds.  On top of
+these sit exact union densities by CRT inclusion-exclusion and partial sums
+of the density series.
 
 Everything is exact: densities are fractions end to end, and the one sum that
 cannot be held as a reduced fraction (the tail bound over millions of b) is
@@ -24,9 +25,10 @@ returned as a certified scaled-integer lower bound with stated deficit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -60,31 +62,23 @@ _GROUP_BRUTE_CAP = 10**7
 # order censuses
 
 
-@dataclass(frozen=True)
-class OrderCensus:
-    """entries[d] = number of units mod b of multiplicative order exactly d,
-    for every d | lambda(b); the entries partition the phi(b) units."""
-
-    b: int
-    entries: dict
-
-    def total(self) -> int:
-        return sum(self.entries.values())
+def _unit_orders(b: int):
+    """Yield (a0, ord(a0)) for every unit a0 mod b, ascending in a0."""
+    lam_f = as_factorization(carmichael_lambda(factor(b)))
+    for a0 in range(1, b):
+        if gcd(a0, b) == 1:
+            yield a0, multiplicative_order(a0, b, lam_f)
 
 
-def order_census(b: int) -> OrderCensus:
-    """Census by computing the order of every unit mod b."""
+def order_census(b: int) -> dict:
+    """{d: number of units mod b of multiplicative order exactly d}, ascending
+    in d, by computing the order of every unit mod b; the counts partition
+    the phi(b) units."""
     if b < 2:
         raise ValueError("b must be >= 2")
     if b > _ORDER_CENSUS_CAP:
         raise CapacityError(f"order_census capped at b <= {_ORDER_CENSUS_CAP}")
-    fb = factor(b)
-    lam_f = as_factorization(carmichael_lambda(fb))
-    entries: dict = {d: 0 for d in divisors(lam_f)}
-    for a0 in range(1, b):
-        if gcd(a0, b) == 1:
-            entries[multiplicative_order(a0, b, lam_f)] += 1
-    return OrderCensus(b, {d: n for d, n in entries.items() if n})
+    return dict(sorted(Counter(d for _, d in _unit_orders(b)).items()))
 
 
 def _sylow_components(b: int) -> tuple[AbelianPGroup, ...]:
@@ -101,8 +95,14 @@ def _sylow_components(b: int) -> tuple[AbelianPGroup, ...]:
     return tuple(AbelianPGroup(q, tuple(sorted(ks))) for q, ks in sorted(exponents.items()))
 
 
+def _gb_components(b: int) -> list[AbelianPGroup]:
+    """The p-components of G_b, the units mod b whose order is prime to b:
+    those of the unit group mod b with p not dividing b."""
+    return [g for g in _sylow_components(b) if b % g.p]
+
+
 def unit_order_counts(b: int) -> dict:
-    """Same census as order_census(b).entries, from the group structure.
+    """Same census as order_census(b), from the group structure.
 
     The unit group is the product of its p-components G_p, so the number of
     units of order d is the product over p of group_order_count(v_p(d), G_p).
@@ -149,13 +149,8 @@ def sb_class_system(b: int) -> ClassSystem:
         raise ValueError("b must be >= 2")
     if b > _CLASS_SYSTEM_CAP:
         raise CapacityError(f"sb_class_system capped at b <= {_CLASS_SYSTEM_CAP}")
-    fb = factor(b)
-    lam_f = as_factorization(carmichael_lambda(fb))
     classes = []
-    for a0 in range(1, b):
-        if gcd(a0, b) != 1:
-            continue
-        d = multiplicative_order(a0, b, lam_f)
+    for a0, d in _unit_orders(b):
         if gcd(d, b) != 1:
             continue
         a_class = ResidueClass(a0 % b, b)
@@ -181,7 +176,7 @@ def sb_density(b: int) -> Fraction:
     """Exact density N(G_b) / b**2 of T_b."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    return check_group_bounds([g for g in _sylow_components(b) if b % g.p]).n_value / (b * b)
+    return Fraction(prod(group_N(g) for g in _gb_components(b)), b * b)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +192,10 @@ def union_density(k: int) -> Fraction:
         raise ValueError("k must be >= 2")
     if k > _UNION_CAP:
         raise CapacityError(f"union_density capped at k <= {_UNION_CAP}")
-    seen = set()
-    classes = []
-    for b in range(2, k + 1):
-        for c in sb_class_system(b).classes:
-            if (c.r, c.m) not in seen:
-                seen.add((c.r, c.m))
-                classes.append(c)
-    classes.sort(key=lambda c: (c.m, c.r))
+    classes = sorted(
+        {c for b in range(2, k + 1) for c in sb_class_system(b).classes},
+        key=lambda c: (c.m, c.r),
+    )
     total = Fraction(0)
 
     def walk(start: int, current: ResidueClass, sign: int) -> None:
@@ -301,7 +292,7 @@ def tail_bound_term(b: int) -> Fraction:
     order of G_b."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    return check_group_bounds([g for g in _sylow_components(b) if b % g.p]).eq_bound / (b * b)
+    return check_group_bounds(_gb_components(b)).eq_bound / (b * b)
 
 
 def tail_bound(b_lo: int, b_hi: int) -> Fraction:
@@ -311,11 +302,13 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     floor(term * 10**18), so the result is an exact rational lower bound of
     the true sum with deficit below (b_hi - b_lo) / 10**18.
 
-    lambda0 and phi0 are the exponent and the order of G_b, so lambda0 |
-    phi0 by Lagrange's theorem, and phi0 / lambda0 is the coprime-to-b part
-    of phi(b) / lambda(b).  Each term is num / b**2 with the integer
-    num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m, num <= phi0 < b**2
-    and every term is below 1.  Its floor at scale 10**18 is found by long
+    lambda0 and phi0 are the exponent and the order of G_b: phi0 is the
+    coprime-to-b part of phi(b), and lambda0 = gcd(lambda(b), phi0), since
+    lambda(b) | phi(b) leaves v_q(phi0) >= v_q(lambda(b)) for each prime q
+    not dividing b, and v_q(phi0) = 0 for each q dividing b.  So lambda0 |
+    phi0, and one coprime-part pass gives both.  Each term is num / b**2
+    with the integer num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m,
+    num <= phi0 < b**2 and every term is below 1.  Its floor at scale 10**18 is found by long
     division in int64: the remainder stays below b**2 <= 4 * 10**14 and is
     multiplied by at most 10**4 per step, so no value reaches
     4 * 10**18 < 2**63.  The digits of one step are summed over all b
@@ -328,9 +321,10 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
         raise CapacityError(f"tail_bound capped at b_hi <= {_TAIL_CAP}")
     phi, lam = bulk.phi_lambda_arrays(b_hi)
     b = np.arange(b_lo + 1, b_hi + 1, dtype=np.int64)
-    lam0 = bulk.coprime_part_array(lam[b_lo + 1 :], b)
-    ratio = bulk.coprime_part_array(phi[b_lo + 1 :] // lam[b_lo + 1 :], b)  # phi0 / lambda0
+    ratio = bulk.coprime_part_array(phi[b_lo + 1 :], b)  # phi0
+    lam0 = np.gcd(lam[b_lo + 1 :], ratio)
     del phi, lam
+    ratio //= lam0  # phi0 / lambda0, in place
     spf = bulk.spf_window(int(lam0.max()) + 1)
     rem = bulk.tau_array(lam0, spf) * ratio  # num < b**2: the first remainder
     del spf, lam0, ratio
@@ -407,10 +401,11 @@ def group_order_count(j: int, g: AbelianPGroup) -> int:
 
 
 def group_N(g: AbelianPGroup) -> Fraction:
-    """N(g) = sum over j of N(p**j, g) / p**j."""
-    return sum(
-        (Fraction(group_order_count(j, g), g.p**j) for j in range(g.lambdas[-1] + 1)),
-        Fraction(0),
+    """N(g) = sum over j of N(p**j, g) / p**j, as one fraction over the
+    common denominator p**lambda."""
+    lam = g.lambdas[-1]
+    return Fraction(
+        sum(group_order_count(j, g) * g.p ** (lam - j) for j in range(lam + 1)), g.p**lam
     )
 
 
@@ -476,8 +471,7 @@ def check_group_bounds(groups) -> GroupBoundReport:
         counts = [group_order_count(j, g) for j in range(lam + 1)]
         rows.extend((g.p, j, c, Fraction(c, g.p**j), g.p ** (n - lam))
                     for j, c in enumerate(counts))
-        # group_N(g) from the same counts, over the common denominator p**lam
-        n_value *= Fraction(sum(c * g.p ** (lam - j) for j, c in enumerate(counts)), g.p**lam)
+        n_value *= group_N(g)
         order *= g.order
         exponent *= g.exponent
         tau_exp *= lam + 1

@@ -145,14 +145,12 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
     """Decide the three necessity conditions for the class r mod m, base a.
 
     The Jacobi condition applies when g = gcd(r, m) is even; it HOLDS when
-    some k = r (mod m) has (a / k_{2a}) = +1 and FAILS otherwise.
+    some k = r (mod m) has (a / k_{2a}) = +1 and FAILS otherwise.  A base
+    outside [2, 2**63) is a ValueError, whatever the class.
     """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    _check_base_modulus(a, m)
     if not 0 <= r < m:
         raise ValueError("need 0 <= r < m")
-    if a < 2:
-        raise ValueError("base must be >= 2")
     g = gcd(r, m)  # r = 0 gives g = m
     g_a = coprime_part(g, a)
     h = gcd(multiplicative_order(a, g_a), m)
@@ -169,6 +167,14 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
 
 # ---------------------------------------------------------------------------
 # pseudoprime value stream
+
+
+def _check_base_modulus(a: int, m: int) -> None:
+    """Reject a base outside [2, 2**63), the integer domain of arith, or a modulus < 1."""
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
+    if not 2 <= a < INT_DOMAIN:
+        raise ValueError("base must lie in [2, 2**63)")
 
 
 def _check_limit(limit: int) -> None:
@@ -227,11 +233,11 @@ def _presieve(start: int, step: int, count: int, table) -> np.ndarray:
     """Survivors among n = start + step*j, 0 <= j < count: False where some
     prime p of the order table divides n outside the class n = p (mod p*ord).
     Each j counts such p as +1 for p | n and -1 for the class, whose j are
-    found by CRT; a class with no solution strikes every multiple of p."""
+    found by CRT; a class with no solution strikes every multiple of p.
+    Every p of the table must be prime to step: step 16 is used only with
+    the base 2, whose table holds no p dividing 2."""
     bad = np.zeros(count, dtype=np.int8)  # at most 15 primes divide n < 2**63
     for p, mod in table:
-        if step % p == 0:
-            continue
         bad[-start * pow(step, -1, p) % p :: p] += 1
         g = gcd(step, mod)
         if (p - start) % g == 0:
@@ -317,6 +323,7 @@ class CountTable:
 
     @classmethod
     def from_values(cls, base, modulus, limits, values, coverage) -> "CountTable":
+        _check_base_modulus(base, modulus)
         limits = tuple(sorted({int(x) for x in limits}))
         counts: dict = {}
         values = np.asarray(values, dtype=np.uint64)
@@ -362,8 +369,7 @@ def count_psp_in_classes(
 ) -> CountTable:
     """Count base-a pseudoprimes n <= limit per class n mod m over one
     half-open segment (default: all of [2, limit+1))."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    _check_base_modulus(a, m)
     _check_limit(limit)
     top = max(2, limit + 1)
     lo, hi = (2, top) if segment is None else segment
@@ -375,8 +381,7 @@ def count_psp_in_classes(
 def count_psp_table(a: int, m: int, limits) -> CountTable:
     """Full count table of base-a pseudoprimes per class mod m at several
     limits, from one scan up to the largest."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    _check_base_modulus(a, m)
     limits = sorted(int(x) for x in limits)
     if not limits:
         raise ValueError("need at least one limit")
@@ -461,8 +466,7 @@ def ingest_psp_list(lines, m: int, base: int = 2) -> CountTable:
     """Stream a sorted list of decimal pseudoprimes (one per line) into a
     per-class count table mod m.  Runs in constant memory; sortedness and the
     64-bit range are validated, pseudoprimality is not."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    _check_base_modulus(base, m)
     tally = [0] * m
     prev = -1
     top = 0

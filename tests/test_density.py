@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 import pseudoprimes as pp
+from pseudoprimes import bulk
 from pseudoprimes.errors import CapacityError
 
 
@@ -16,15 +18,15 @@ from pseudoprimes.errors import CapacityError
 
 
 def test_order_census_examples():
-    assert pp.order_census(8).entries == {1: 1, 2: 3}
-    assert pp.order_census(3).entries == {1: 1, 2: 1}
-    assert pp.order_census(2).entries == {1: 1}
+    assert pp.order_census(8) == {1: 1, 2: 3}
+    assert pp.order_census(3) == {1: 1, 2: 1}
+    assert pp.order_census(2) == {1: 1}
 
 
 def test_order_census_cyclic_prime_case():
     # mod p the group is cyclic: N(d, p) = phi(d) for every d | p-1
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        census = pp.order_census(p).entries
+        census = pp.order_census(p)
         assert set(census) == set(pp.divisors(p - 1))
         for d, n in census.items():
             assert n == pp.euler_phi(d)
@@ -33,7 +35,7 @@ def test_order_census_cyclic_prime_case():
 def test_structural_counts_match_enumeration_to_2000():
     # the extra b bring multi-factor 2- and 3-components and large primes
     for b in [*range(2, 2001), 4096, 6561, 30030, 55440, 65536, 99991]:
-        assert pp.unit_order_counts(b) == pp.order_census(b).entries
+        assert pp.unit_order_counts(b) == pp.order_census(b)
 
 
 def test_census_partitions_phi_to_5000():
@@ -213,6 +215,17 @@ def test_lambda0_divides_phi0_to_1e5():
         f = pp.factor(b)
         lam0 = pp.coprime_part(pp.carmichael_lambda(f), b)
         assert pp.coprime_part(pp.euler_phi(f), b) % lam0 == 0, b
+
+
+def test_lambda0_gcd_matches_two_coprime_passes_to_1e5():
+    # tail_bound takes phi0 from one coprime-part pass and lambda0 as
+    # gcd(lambda, phi0); the two-pass form strips b's primes from each
+    phi, lam = bulk.phi_lambda_arrays(10**5)
+    b = np.arange(2, 10**5 + 1, dtype=np.int64)
+    phi0 = bulk.coprime_part_array(phi[2:], b)
+    lam0 = np.gcd(lam[2:], phi0)
+    assert np.array_equal(lam0, bulk.coprime_part_array(lam[2:], b))
+    assert np.array_equal(phi0 // lam0, bulk.coprime_part_array(phi[2:] // lam[2:], b))
 
 
 def test_tail_bound_matches_exact_sum_on_window():

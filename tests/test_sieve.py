@@ -154,6 +154,10 @@ def test_class_conditions_domain_errors():
         pp.class_conditions(2, 7, 4)
     with pytest.raises(ValueError):
         pp.class_conditions(1, 0, 4)
+    # the base is checked whatever the parity of gcd(r, m)
+    for r in (0, 1):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            pp.class_conditions(2**70, r, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +365,19 @@ def test_ingest_rejects_descending():
 def test_ingest_rejects_out_of_range():
     with pytest.raises(InputFormatError, match="64-bit"):
         pp.ingest_psp_list(io.StringIO(f"{1 << 64}\n"), 2)
+
+
+def _unread():
+    raise AssertionError("input read before its base and modulus were checked")
+    yield
+
+
+def test_tables_reject_bad_base_and_modulus_up_front():
+    for base, m in ((2, 0), (2, -1), (1, 4), (2**63, 4)):
+        with pytest.raises(ValueError, match="modulus|base"):
+            pp.CountTable.from_values(base, m, [10], np.array([341], dtype=np.uint64), [(2, 11)])
+        with pytest.raises(ValueError, match="modulus|base"):
+            pp.ingest_psp_list(_unread(), m, base)
 
 
 # ---------------------------------------------------------------------------
