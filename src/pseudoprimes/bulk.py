@@ -67,6 +67,7 @@ def powmod_vector(base, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray
 
 def composite_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Boolean array over [lo, hi): True exactly for composite n (n >= 2).
+    It is the sieve behind primes_upto.
 
     base_primes must hold every prime p with p*p < hi, ascending."""
     comp = np.zeros(hi - lo, dtype=bool)

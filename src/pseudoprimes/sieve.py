@@ -3,8 +3,9 @@ contain base-a pseudoprimes, counting of pseudoprimes per class, the
 even-pseudoprime enumerator, empty-class scanning, and ingestion of
 externally computed pseudoprime lists.  Every listing of pseudoprimes comes
 from one windowed Fermat scan: `_windows` splits a range at 2**32,
-`_presieve` strikes out most of each window, and `_fermat_mask` tests the
-survivors, vectorized below 2**32 and scalar above.
+`_presieve` builds a cofactor array over each window, `_undecided` refutes
+almost every survivor from it, and `_fermat_mask` tests the rest,
+vectorized below 2**32 and scalar above.
 
 The presieve is exact.  Let p be a prime with p not dividing a.  If p | n
 and a^n = a (mod n), then a^(n-1) = 1 (mod p), so ord_p(a) | n-1; as
@@ -13,7 +14,22 @@ by p lies in that one class, and every other multiple of p can be dropped
 untested.  This is the per-prime form of the condition h | r-1 below.  It
 also gives the old candidate rule for even base-2 pseudoprimes,
 gcd(n, 2145) = 1: for p = 3, 5, 11, 13 the order of 2 is even, so no even n
-lies in the class and every even multiple of p is dropped.
+lies in the class and every even multiple of p is dropped.  Two more rules
+bound the power of p.  If p**j | n, ord_{p^j}(a) divides n-1, which is
+prime to p, so a^(p-1) = 1 (mod p**j): only a base-a Wieferich prime
+(1093 and 3511 for a = 2, 3 for a = 10) can divide n twice.  If p | a and
+p**(v+1) | n with v = v_p(a), then p**(v+1) divides a^n (n >= 2) but not a.
+With these, the presieve's cofactor k is the whole part of n made of the
+primes up to its bound b.
+
+The cofactor lemma (the large-prime split of Pomerance, Selfridge and
+Wagstaff) decides almost every survivor.  Let q = n/k; it has no prime
+factor up to b, so it is 1 or a prime when q < (b+1)**2.  Let q be prime,
+q not dividing a, and k > 1.  If n is a pseudoprime, ord_q(a) divides
+n-1 = k-1 (mod q-1) and q-1, so q | a^g - 1 with g = gcd(k-1, q-1) >= 1,
+and a^g > q.  So a^g < q refutes n.  The strict < needs no other guard:
+if q | a then a^g >= a >= q; q = 1 gives a^g >= 1 = q; and k = 1 gives
+g = q-1, so a^g >= 2^(q-1) >= q.
 
 The admissibility test for a class r mod m and base a works with
 g = gcd(r, m), g_a the largest divisor of g coprime to a, and
@@ -37,7 +53,7 @@ from . import bulk
 from .arith import INT_DOMAIN, coprime_part, factor, is_prime, jacobi, multiplicative_order
 from .errors import CapacityError, InputFormatError
 
-_CHUNK = 1 << 22
+_CHUNK = 1 << 20  # entries per presieve call; its uint32 cofactor array is 4 MB
 _PLACES = 6  # decimals of format_fraction
 
 
@@ -187,14 +203,15 @@ def _check_capacity(hi: int) -> None:
         raise CapacityError("scans are capped at n < 2**63")
 
 
-def _windows(lo: int, hi: int):
-    """Split [lo, hi) into windows (wlo, whi) of at most _CHUNK numbers.  No
+def _windows(lo: int, hi: int, step: int = 1):
+    """Split [lo, hi) into windows (wlo, whi) of at most _CHUNK * step
+    numbers, so a scan of one number in step has at most _CHUNK in each.  No
     window straddles bulk.VECTOR_MOD_LIMIT, so each lies wholly on the
     vector side or wholly on the scalar side of it."""
     cut = min(max(lo, bulk.VECTOR_MOD_LIMIT), hi)
     for start, stop in ((lo, cut), (cut, hi)):
-        for wlo in range(start, stop, _CHUNK):
-            yield wlo, min(wlo + _CHUNK, stop)
+        for wlo in range(start, stop, _CHUNK * step):
+            yield wlo, min(wlo + _CHUNK * step, stop)
 
 
 def _fermat_mask(a: int, ns: np.ndarray) -> np.ndarray:
@@ -206,55 +223,115 @@ def _fermat_mask(a: int, ns: np.ndarray) -> np.ndarray:
     return bulk.powmod_vector(a, ns, ns) == target
 
 
-def _order_table(a: int, primes: np.ndarray) -> list[tuple[int, int]]:
-    """(p, p * ord_p(a)) for each p in primes (ascending) with p not dividing
-    a.  Each order d starts at p-1 and loses a prime q of p-1 (taken from a
-    smallest-prime-factor table) while a^(d/q) = 1 (mod p)."""
-    p = primes[a % primes.astype(np.uint64) != 0]
-    if not p.size:
-        return []
-    spf = bulk.spf_window(int(p[-1]))
-    order = p - 1
-    rest = p - 1  # the part of p-1 whose primes are still to strip
-    while (live := np.flatnonzero(rest > 1)).size:
-        q = spf[rest[live]]
-        while (m := rest[live] % q == 0).any():
-            rest[live[m]] //= q[m]
-        while live.size:
-            m = order[live] % q == 0
-            live, q = live[m], q[m]
-            m = bulk.powmod_vector(a, order[live] // q, p[live]) == 1
-            live, q = live[m], q[m]
-            order[live] //= q
-    return list(zip(p.tolist(), (p * order).tolist()))
+def _order_table(a: int, primes: np.ndarray) -> list[tuple[int, int, int]]:
+    """(p, mod, w) for each p in primes (ascending, each below 2**16): a
+    base-a pseudoprime divisible by p is n = p (mod mod), and p**(w+1) never
+    divides it.  For p | a, mod = p and w = v_p(a).  Otherwise mod = p *
+    ord_p(a) and w is the largest exponent with a^(p-1) = 1 (mod p**w): 1
+    but for the base-a Wieferich primes.  Each order d starts at p-1 and
+    loses a prime q of p-1 (taken from a smallest-prime-factor table) while
+    a^(d/q) = 1 (mod p)."""
+    divides = a % primes.astype(np.uint64) == 0
+    table = []
+    for p in primes[divides].tolist():
+        w = 1
+        while a % p ** (w + 1) == 0:
+            w += 1
+        table.append((p, p, w))
+    p = primes[~divides]
+    if p.size:
+        spf = bulk.spf_window(int(p[-1]))
+        order = p - 1
+        rest = p - 1  # the part of p-1 whose primes are still to strip
+        while (live := np.flatnonzero(rest > 1)).size:
+            q = spf[rest[live]]
+            while (m := rest[live] % q == 0).any():
+                rest[live[m]] //= q[m]
+            while live.size:
+                m = order[live] % q == 0
+                live, q = live[m], q[m]
+                m = bulk.powmod_vector(a, order[live] // q, p[live]) == 1
+                live, q = live[m], q[m]
+                order[live] //= q
+        w = 1 + (bulk.powmod_vector(a, p - 1, p * p) == 1)
+        for i in np.flatnonzero(w > 1).tolist():
+            q, e = int(p[i]), 2
+            while pow(a, q - 1, q ** (e + 1)) == 1:
+                e += 1
+            w[i] = e
+        table += zip(p.tolist(), (p * order).tolist(), w.tolist())
+    return sorted(table)
 
 
-def _presieve(start: int, step: int, count: int, table) -> np.ndarray:
-    """Survivors among n = start + step*j, 0 <= j < count: False where some
-    prime p of the order table divides n outside the class n = p (mod p*ord).
-    Each j counts such p as +1 for p | n and -1 for the class, whose j are
-    found by CRT; a class with no solution strikes every multiple of p.
-    Every p of the table must be prime to step: step 16 is used only with
-    the base 2, whose table holds no p dividing 2."""
-    bad = np.zeros(count, dtype=np.int8)  # at most 15 primes divide n < 2**63
-    for p, mod in table:
-        bad[-start * pow(step, -1, p) % p :: p] += 1
-        g = gcd(step, mod)
-        if (p - start) % g == 0:
-            mod //= g
-            bad[(p - start) // g * pow(step // g, -1, mod) % mod :: mod] -= 1
-    return bad == 0
+def _presieve(table, step: int):
+    """The presieve of scans over n = start + step*j: a function
+    (start, count) -> k, the cofactor array over 0 <= j < count.  k[j] = 0
+    where the table refutes n, and otherwise k[j] is the part of n made of
+    the primes of the table and of step.  A multiple of a table prime p
+    survives only in the class n = p (mod mod) and only if p**(w+1) does
+    not divide it.  k starts at gcd(start, step): every p of the table must
+    be prime to step, and every prime of step must divide start less often
+    than step.  k is uint32 when every n is below 2**32.  The inverses of
+    step are found once; each call finds the first j of every slice by CRT
+    in one vector pass, then strikes each slice."""
+    p, mod, w = np.array([r for r in table if r[1] > r[0]], dtype=np.uint64).reshape(-1, 3).T
+    g = np.gcd(mod, np.uint64(step))
+    s, sq = mod // g, p * p  # the class strides, and the moduli struck for w = 1
+    inv_s = np.array([pow(step // d, -1, m) for d, m in zip(g.tolist(), s.tolist())], np.uint64)
+    inv_sq = np.array([pow(step, -1, m) for m in sq.tolist()], dtype=np.uint64)
+    deep = [(q, 2 - (m == q), e) for q, m, e in table if m == q or e > 1]  # p | a or Wieferich
+
+    def presieve(start: int, count: int) -> np.ndarray:
+        top = start + step * (count - 1)
+        k = np.full(count, gcd(start, step), dtype=np.uint32 if top < 1 << 32 else np.uint64)
+        d = (p + mod - start % mod) % mod  # the class is step*j = d (mod mod)
+        cls = np.where(d % g == 0, d // g * inv_s % s, count)
+        first = (p - start % p) % p * inv_sq % p  # inv_sq inverts step mod p too
+        first2 = np.where(w == 1, (sq - start % sq) % sq * inv_sq % sq, count)
+        for q, j, c, stride, j2 in zip(*(x.tolist() for x in (p, first, cls, s, first2))):
+            kept = k[c::stride] * q if c < count else None
+            k[j::q] = 0
+            if kept is not None:
+                k[c::stride] = kept
+            k[j2 :: q * q] = 0
+        for q, e0, w_q in deep:  # multiply by q on multiples of q**e, e <= w; then by 0
+            for e in range(e0, w_q + 2):
+                k[-start * pow(step, -1, q**e) % q**e :: q**e] *= q if e <= w_q else 0
+        return k
+
+    return presieve
+
+
+def _undecided(a: int, start: int, step: int, k: np.ndarray, b: int) -> np.ndarray:
+    """The n = start + step*j, as uint64, that the cofactor array k of
+    _presieve over the primes up to b leaves to the Fermat test.  q = n // k
+    has no prime factor up to b, so it is 1 or a prime when q < (b+1)**2,
+    as it always is below 2**32.  There k = 1 means n is prime, and k > 1
+    refutes n when a^g < q, g = gcd(k-1, q-1) (see the module docstring).
+    As g <= k-1, a^(k-1) < q refutes n before any gcd is taken."""
+    j = np.flatnonzero(k > 0)
+    n = j.astype(np.uint64) * np.uint64(step) + np.uint64(start)
+    k = k[j]
+    q = n // k
+    cap = (b + 1) ** 2
+    powers = np.array([min(a**e, cap) for e in range(33)], dtype=np.uint64)  # a^32 >= cap
+    keep = q >= cap
+    t = np.flatnonzero(~keep & (k > 1))
+    t = t[powers[np.minimum(k[t] - 1, 32)] >= q[t]]
+    keep[t] = powers[np.minimum(np.gcd(k[t] - 1, q[t] - 1), 32)] >= q[t]
+    return n[keep]
 
 
 def iter_psp_values(a: int, lo: int, hi: int):
     """Yield uint64 arrays of the base-a pseudoprimes in [lo, hi), ascending.
 
     Each window is presieved by the order table of the primes up to
-    sqrt(min(hi, 2**32)), and the Fermat test runs on the survivors only.
-    Compositeness comes from a windowed prime sieve below 2**32; above it
-    the Fermat test runs in scalar arithmetic (slow) and the deterministic
-    primality test runs on its hits only.  hi > 2**63 raises CapacityError;
-    a base outside [2, 2**63), the integer domain of arith, is a ValueError.
+    b = sqrt(min(hi, 2**32)) into a cofactor array, which refutes almost
+    every composite and, below 2**32, every prime; the Fermat test runs on
+    the rest.  Above 2**32 it runs in scalar arithmetic (slow), and the
+    deterministic primality test runs on its hits.  hi > 2**63 raises
+    CapacityError; a base outside [2, 2**63), the integer domain of arith,
+    is a ValueError.
     """
     if not 2 <= a < INT_DOMAIN:
         raise ValueError("base must lie in [2, 2**63)")
@@ -264,13 +341,13 @@ def iter_psp_values(a: int, lo: int, hi: int):
     lo = max(lo, 4)
     if hi <= lo:
         return
-    base_primes = bulk.primes_upto(isqrt(min(hi, bulk.VECTOR_MOD_LIMIT) - 1))
-    table = _order_table(a, base_primes)
+    b = isqrt(min(hi, bulk.VECTOR_MOD_LIMIT) - 1)
+    base_primes = bulk.primes_upto(b)
+    presieve = _presieve(_order_table(a, base_primes), 1)
     for wlo, whi in _windows(lo, hi):
-        keep = _presieve(wlo, 1, whi - wlo, table)
-        if whi <= bulk.VECTOR_MOD_LIMIT:
-            keep &= bulk.composite_flags(wlo, whi, base_primes)
-        ns = np.flatnonzero(keep).astype(np.uint64) + np.uint64(wlo)
+        k = presieve(wlo, whi - wlo)
+        k[base_primes[(wlo <= base_primes) & (base_primes < whi)] - wlo] = 0
+        ns = _undecided(a, wlo, 1, k, b)
         hits = ns[_fermat_mask(a, ns)]
         if whi > bulk.VECTOR_MOD_LIMIT:
             hits = hits[np.fromiter((not is_prime(n) for n in hits.tolist()), bool, hits.size)]
@@ -402,18 +479,18 @@ def enumerate_even_psp(limit: int) -> list[int]:
     class is presieved as a progression of step 16.  When ord_p(2) is even,
     the class n = p (mod p*ord_p(2)) holds only odd n, so every even multiple
     of p goes; 3, 5, 11 and 13 are such p, which is the old candidate rule
-    gcd(n, 2145) = 1.  limit >= 2**63 raises CapacityError.
+    gcd(n, 2145) = 1.  The cofactor of each n starts at 2, so n = 2q with q
+    prime gives g = 1 and is refuted untested.  limit >= 2**63 raises
+    CapacityError.
     """
     _check_limit(limit)
     _check_capacity(limit + 1)
-    table = _order_table(2, bulk.primes_upto(isqrt(min(limit + 1, bulk.VECTOR_MOD_LIMIT) - 1)))
+    b = isqrt(min(limit + 1, bulk.VECTOR_MOD_LIMIT) - 1)
+    presieve = _presieve(_order_table(2, bulk.primes_upto(b)[1:]), 16)
     found: list[int] = []
-    for wlo, whi in _windows(4, limit + 1):
-        parts = []
-        for r in (2, 14):
-            first = wlo + (r - wlo) % 16
-            j = np.flatnonzero(_presieve(first, 16, len(range(first, whi, 16)), table))
-            parts.append(np.uint64(first) + np.uint64(16) * j.astype(np.uint64))
+    for wlo, whi in _windows(4, limit + 1, 8):  # the classes 2 and 14 mod 16
+        firsts = [wlo + (r - wlo) % 16 for r in (2, 14)]
+        parts = [_undecided(2, f, 16, presieve(f, len(range(f, whi, 16))), b) for f in firsts]
         cand = np.sort(np.concatenate(parts))
         found.extend(cand[_fermat_mask(2, cand)].tolist())
     return found

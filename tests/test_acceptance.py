@@ -227,14 +227,20 @@ def test_criterion_06_union_density_k3_against_period_scan():
 
 def _union_count_by_definition(k, period):
     """Members of T_2 u ... u T_k in (period, 2*period], each n = a*b with
-    2 <= b <= k tested directly by a**n == a (mod n)."""
-    member = bytearray(period)
+    2 <= b <= k tested directly by a**n == a (mod n): square-and-multiply
+    over all n of one b at once, exact in uint64 while n < 2**32."""
+    assert 2 * period < 2**32
+    member = np.zeros(period, dtype=bool)
     for b in range(2, k + 1):
-        for n in range((period // b + 1) * b, 2 * period + 1, b):
-            a = n // b
-            if pow(a, n, n) == a:
-                member[n - period - 1] = 1
-    return sum(member)
+        n = np.arange((period // b + 1) * b, 2 * period + 1, b, dtype=np.uint64)
+        a = n // np.uint64(b)
+        power, square, e = np.ones_like(n), a.copy(), n.copy()
+        while e.any():
+            power = np.where(e & np.uint64(1), power * square % n, power)
+            square = square * square % n
+            e >>= np.uint64(1)
+        member[(n - np.uint64(period + 1))[power == a]] = True
+    return int(member.sum())
 
 
 def test_criterion_06_union_density_k10_pinned_value():

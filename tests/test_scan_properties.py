@@ -1,12 +1,16 @@
 """Property tests of the presieved pseudoprime scan against plain-Python
-oracles: random windows (some straddling 2**32) for bases 2..64, and random
-limits for the even enumerator.  Derandomized, so every run draws the same
-examples."""
+oracles: random windows (some straddling 2**32) for bases 2..64, the
+presieve's cofactor array against trial division, and random limits for
+the even enumerator.  Derandomized, so every run draws the same examples."""
 
+from math import isqrt
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudoprimes as pp
+from pseudoprimes import sieve
 
 SCAN = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -34,3 +38,42 @@ def test_scan_matches_fermat_oracle(a, window):
 @given(limit=st.integers(0, 2 * 10**6))
 def test_even_enumerator_matches_brute(limit):
     assert pp.enumerate_even_psp(limit) == pp.even_psp_brute(limit)
+
+
+def _primes_upto(b):
+    flags = bytearray([1]) * (b + 1)
+    for p in range(2, isqrt(b) + 1):
+        flags[p * p :: p] = bytes(len(range(p * p, b + 1, p)))
+    return [p for p in range(2, b + 1) if flags[p]]
+
+
+def _smooth_part(n, primes):
+    """The part of n made of the given primes, by trial division."""
+    k = 1
+    for p in primes:
+        while n % p == 0:
+            n, k = n // p, k * p
+    return k
+
+
+@settings(SCAN, max_examples=100)
+@given(a=st.integers(2, 64), window=windows(), even=st.sampled_from([0, 2, 14]))
+def test_cofactor_array_matches_trial_division(a, window, even):
+    # even = r > 0 runs the even enumerator's presieve: base 2 over n = r (mod 16)
+    # with the odd primes only, its cofactor starting at 2
+    lo, hi = window
+    hi = min(hi, lo + 2**10)
+    b = isqrt(min(hi, 2**32) - 1)
+    primes = _primes_upto(b)
+    step, table_primes = 1, primes
+    if even:
+        a, step, lo, table_primes = 2, 16, lo + (even - lo) % 16, primes[1:]
+    ns = range(lo, hi, step)
+    table = sieve._order_table(a, np.array(table_primes, dtype=np.int64))
+    k = sieve._presieve(table, step)(lo, len(ns))
+    undecided = set(sieve._undecided(a, lo, step, k, b).tolist())
+    for n, kn in zip(ns, k.tolist()):
+        if kn:
+            assert kn == _smooth_part(n, primes), (n, kn)
+        if pow(a, n, n) == a % n and not pp.is_prime(n):
+            assert kn and n in undecided, n

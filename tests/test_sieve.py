@@ -176,8 +176,41 @@ def test_scan_across_2_pow_32_matches_scalar_oracle():
 def test_order_table_matches_scalar_order(a):
     primes = bulk.primes_upto(2**16)
     table = sieve._order_table(a, primes)
-    assert [p for p, _ in table] == [q for q in primes.tolist() if a % q]
-    assert [mod // p for p, mod in table] == [arith.multiplicative_order(a, p) for p, _ in table]
+    assert [p for p, _, _ in table] == primes.tolist()
+    coprime = [(p, mod, w) for p, mod, w in table if a % p]
+    assert [mod // p for p, mod, _ in coprime] == [
+        arith.multiplicative_order(a, p) for p, _, _ in coprime
+    ]
+    # w is the largest exponent with a^(p-1) = 1 (mod p**w), or v_p(a) for p | a
+    for p, mod, w in table:
+        if a % p:
+            assert pow(a, p - 1, p**w) == 1 != pow(a, p - 1, p ** (w + 1)), (p, w)
+        else:
+            assert mod == p and a % p**w == 0 != a % p ** (w + 1), (p, w)
+    wieferich = {2: [1093, 3511], 3: [11], 5: [2, 20771, 40487], 6: [], 10: [3, 487]}
+    assert [p for p, mod, w in coprime if w > 1] == wieferich[a]
+
+
+def _psp_oracle(a, lo, hi):
+    return [n for n in range(lo, hi) if pow(a, n, n) == a % n and not pp.is_prime(n)]
+
+
+@pytest.mark.parametrize(
+    "a, lo, hi, pinned",
+    [
+        (31, 4, 900, [62]),  # 62 = 2 * 31: the cofactor q is the base itself
+        (2, 4, 400, [341]),  # 341 = 11 * 31, g = gcd(10, 30) = 10 and 2**10 > 31
+        (2, 1093**2 - 2**12, 1093**2 + 2**12, [1093**2]),  # Wieferich squares
+        (2, 3511**2 - 2**12, 3511**2 + 2**12, [3511**2]),
+        (10, 4, 10**5, [9, 18, 45]),  # 3 is a base-10 Wieferich prime
+        (6, 4, 10**5, [10, 15, 21]),  # 2 and 3 divide the base
+    ],
+    ids=["q-is-the-base", "341", "1093-squared", "3511-squared", "base-10", "base-6"],
+)
+def test_scan_edge_cases_match_fermat_oracle(a, lo, hi, pinned):
+    found = [int(n) for part in pp.iter_psp_values(a, lo, hi) for n in part]
+    assert found == _psp_oracle(a, lo, hi)
+    assert set(pinned) <= set(found)
 
 
 def test_scans_past_2_pow_63_raise_capacity_error():
