@@ -93,9 +93,7 @@ class Factorization:
             raise ValueError("factors do not multiply back to value")
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of odd composite n (Brent's cycle variant)."""
     c = 1
     while True:
         x = y = 2
@@ -135,8 +133,6 @@ def factor(n: int) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue

@@ -23,7 +23,7 @@ def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as int64."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    comp = composite_flags(0, limit + 1, primes_upto(isqrt(limit)))
+    comp = composite_flags(limit + 1, primes_upto(isqrt(limit)))
     comp[:2] = True
     return np.flatnonzero(~comp).astype(np.int64)
 
@@ -65,17 +65,16 @@ def powmod_vector(base, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray
         b = b * b % mod
 
 
-def composite_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Boolean array over [lo, hi): True exactly for composite n (n >= 2).
+def composite_flags(hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Boolean array over [0, hi): True exactly for composite n (n >= 2).
     It is the sieve behind primes_upto.
 
     base_primes must hold every prime p with p*p < hi, ascending."""
-    comp = np.zeros(hi - lo, dtype=bool)
+    comp = np.zeros(hi, dtype=bool)
     for p in base_primes.tolist():
         if p * p >= hi:
             break
-        start = max(p * p, (lo + p - 1) // p * p)
-        comp[start - lo :: p] = True
+        comp[p * p :: p] = True
     return comp
 
 

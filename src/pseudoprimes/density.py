@@ -14,9 +14,9 @@ The per-b tail term tau(lambda0) phi0 / (lambda0 b**2), where lambda0 and phi0
 are the exponent and the order of G_b, is the group inequality
 N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2.  G_b is listed
 once, as p-components (_gb_components); sb_density multiplies group_N over
-them and tail_bound_term reads the bound from check_group_bounds.  On top of
-these sit exact union densities by CRT inclusion-exclusion and partial sums
-of the density series.
+them, and tail_bound_term and check_group_bounds read the bound from one
+product over them (_order_bound).  On top of these sit exact union densities
+by CRT inclusion-exclusion and partial sums of the density series.
 
 Everything is exact: densities are fractions end to end, and the one sum that
 cannot be held as a reduced fraction (the tail bound over millions of b) is
@@ -292,7 +292,7 @@ def tail_bound_term(b: int) -> Fraction:
     order of G_b."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    return check_group_bounds(_gb_components(b)).eq_bound / (b * b)
+    return Fraction(_order_bound(_gb_components(b)), b * b)
 
 
 def tail_bound(b_lo: int, b_hi: int) -> Fraction:
@@ -422,28 +422,26 @@ def group_order_census_brute(g: AbelianPGroup) -> dict:
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
+def _order_bound(components) -> int:
+    """tau(lambda(G)) * #G / lambda(G) for G given by its p-components with
+    distinct primes: the product over them of (lambda + 1) * #G_p / p**lambda."""
+    return prod((g.lambdas[-1] + 1) * (g.order // g.exponent) for g in components)
+
+
 @dataclass(frozen=True)
 class GroupBoundReport:
     """Both inequalities checked on a group given by its p-components:
     per-component rows (p, j, count, count/p**j, p**(n-lambda)) for the
     ratio bound, and N(G) against tau(lambda(G)) * #G / lambda(G)."""
 
-    components: tuple[AbelianPGroup, ...]
     n_value: Fraction
     eq_bound: Fraction
     rows: tuple[tuple[int, int, int, Fraction, int], ...]
 
     @property
-    def ratio_ok(self) -> bool:
-        return all(ratio <= cap for _, _, _, ratio, cap in self.rows)
-
-    @property
-    def n_ok(self) -> bool:
-        return self.n_value <= self.eq_bound
-
-    @property
     def all_ok(self) -> bool:
-        return self.ratio_ok and self.n_ok
+        return (all(ratio <= cap for _, _, _, ratio, cap in self.rows)
+                and self.n_value <= self.eq_bound)
 
     @property
     def margin(self) -> Fraction:
@@ -461,18 +459,11 @@ def check_group_bounds(groups) -> GroupBoundReport:
     if len(set(primes)) != len(primes):
         raise ValueError("components must have distinct primes")
     rows = []
-    n_value = Fraction(1)
-    order = 1
-    exponent = 1
-    tau_exp = 1
     for g in components:
-        n = sum(g.lambdas)
         lam = g.lambdas[-1]
-        counts = [group_order_count(j, g) for j in range(lam + 1)]
-        rows.extend((g.p, j, c, Fraction(c, g.p**j), g.p ** (n - lam))
-                    for j, c in enumerate(counts))
-        n_value *= group_N(g)
-        order *= g.order
-        exponent *= g.exponent
-        tau_exp *= lam + 1
-    return GroupBoundReport(components, n_value, Fraction(tau_exp * order, exponent), tuple(rows))
+        cap = g.p ** (sum(g.lambdas) - lam)
+        for j in range(lam + 1):
+            count = group_order_count(j, g)
+            rows.append((g.p, j, count, Fraction(count, g.p**j), cap))
+    n_value = prod((group_N(g) for g in components), start=Fraction(1))
+    return GroupBoundReport(n_value, Fraction(_order_bound(components)), tuple(rows))

@@ -121,7 +121,14 @@ def test_group_check_composite_order(capsys):
     code, out, _ = _capture(
         capsys, ["ordowski", "group-check", "--group", "2:1,2", "--group", "3:1"]
     )
-    assert code == 0 and out.strip().split("\n")[-1].endswith("ok=true")
+    assert code == 0 and out == (
+        "p=2 j=0 count=1 ratio=1/1 cap=2\n"
+        "p=2 j=1 count=3 ratio=3/2 cap=2\n"
+        "p=2 j=2 count=4 ratio=1/1 cap=2\n"
+        "p=3 j=0 count=1 ratio=1/1 cap=1\n"
+        "p=3 j=1 count=2 ratio=2/3 cap=1\n"
+        "N=35/6 5.833333 bound=12/1 12.000000 ok=true\n"
+    )
 
 
 def _parse_digits(text: str) -> int:

@@ -205,8 +205,15 @@ def test_count_S_guard():
 
 
 def test_tail_bound_term_dominates_density():
-    for b in list(range(2, 2001)) + [2310, 4620, 9240]:
-        assert pp.sb_density(b) <= pp.tail_bound_term(b), b
+    # the exact term from arith alone: tau(lambda0) * (phi0 / lambda0) / b**2,
+    # lambda0 and phi0 the coprime-to-b parts of lambda(b) and phi(b);
+    # 2**61 - 1 and 2*3*...*23 lie far outside criterion 08's sympy window
+    for b in list(range(2, 2001)) + [2310, 4620, 9240, 2**61 - 1, 223092870]:
+        term = pp.tail_bound_term(b)
+        l0 = pp.coprime_part(pp.carmichael_lambda(b), b)
+        p0 = pp.coprime_part(pp.euler_phi(b), b)
+        assert term == Fraction(pp.tau(l0) * (p0 // l0), b * b), b
+        assert pp.sb_density(b) <= term, b
 
 
 def test_lambda0_divides_phi0_to_1e5():
