@@ -2,9 +2,9 @@
 primes), a smallest-prime-factor array, elementwise modular exponentiation,
 and multiplicative-function arrays.
 
-These back the residue-class counting and density modules.  Moduli in the
-vector exponentiation path must stay below 2**32 so products of two reduced
-residues fit a uint64; callers fall back to scalar arithmetic above that.
+These back the residue-class counting and density modules.  The
+exponentiation is vectorized while every modulus is below 2**32, so products
+of two reduced residues fit a uint64, and runs scalar `pow` otherwise.
 """
 
 from __future__ import annotations
@@ -46,17 +46,19 @@ def spf_window(hi: int) -> np.ndarray:
 
 
 def powmod_vector(base, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray:
-    """Elementwise base**exponent % modulus for modulus < 2**32.
+    """Elementwise base**exponent % modulus (every modulus >= 1) as uint64.
 
     base may be a scalar or an array; exponents may differ per element.
+    Vectorized while every modulus is below VECTOR_MOD_LIMIT, else scalar.
     """
     mod = np.asarray(modulus, dtype=np.uint64)
     if mod.size and int(mod.max()) >= VECTOR_MOD_LIMIT:
-        raise ValueError("vector path needs every modulus < 2**32")
+        args = np.broadcast_arrays(base, exponent, mod)
+        return np.fromiter(map(pow, *(x.tolist() for x in args)), np.uint64, mod.size)
     e = np.asarray(exponent, dtype=np.uint64).copy()
     b = (np.asarray(base, dtype=np.uint64) % mod if np.ndim(base) else
          np.full(mod.shape, base, dtype=np.uint64) % mod)
-    result = np.ones(mod.shape, dtype=np.uint64)
+    result = (mod != 1).astype(np.uint64)  # 1 % mod
     while True:
         result = np.where(e & 1, result * b % mod, result)
         e >>= 1
@@ -143,15 +145,14 @@ def coprime_part_array(x: np.ndarray, b: np.ndarray) -> np.ndarray:
         g = np.gcd(out[act], g)
 
 
-def tau_array(x: np.ndarray, spf: np.ndarray) -> np.ndarray:
-    """Divisor count of each x >= 1; spf must cover values up to x.max().
+def tau_array(x: np.ndarray) -> np.ndarray:
+    """Divisor count of each x >= 1.
 
-    One pass of _spf_runs over the range of spf: tau(n) = tau(m) + 1 when n
-    is the prime power pe, else tau(rest) * tau(pe)."""
+    One pass of _spf_runs over spf_window(x.max() + 1): tau(n) = tau(m) + 1
+    when n is the prime power pe, else tau(rest) * tau(pe)."""
     if x.size and x.min() < 1:
         raise ValueError("tau_array needs every x >= 1")
-    if x.size and x.max() >= spf.size:
-        raise ValueError("spf must cover every x")
+    spf = spf_window(int(x.max(initial=0)) + 1)
     tau = np.zeros(spf.size, dtype=np.int64)
     tau[1:2] = 1
     for sl, _, m, pe, rest in _spf_runs(spf):

@@ -325,9 +325,8 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     lam0 = np.gcd(lam[b_lo + 1 :], ratio)
     del phi, lam
     ratio //= lam0  # phi0 / lambda0, in place
-    spf = bulk.spf_window(int(lam0.max()) + 1)
-    rem = bulk.tau_array(lam0, spf) * ratio  # num < b**2: the first remainder
-    del spf, lam0, ratio
+    rem = bulk.tau_array(lam0) * ratio  # num < b**2: the first remainder
+    del lam0, ratio
     den = b * b
     acc = 0
     for step in _TAIL_STEPS:

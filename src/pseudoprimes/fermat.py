@@ -94,13 +94,13 @@ def _powers_of_every_base(n: int, exponent: int) -> np.ndarray:
 def F_brute(n: int) -> int:
     """Direct count of a in [0, n) with a**(n-1) == 1 (mod n)."""
     powers = _powers_of_every_base(n, n - 1)
-    return 1 if n == 1 else int((powers == 1).sum())
+    return int((powers == 1 % n).sum())
 
 
 def F_star_brute(n: int) -> int:
     """Direct count of a in [0, n) with a**n == a (mod n)."""
     powers = _powers_of_every_base(n, n)
-    return 1 if n == 1 else int((powers == np.arange(n, dtype=np.uint64)).sum())
+    return int((powers == np.arange(n, dtype=np.uint64)).sum())
 
 
 def D(n: int | Factorization) -> int:

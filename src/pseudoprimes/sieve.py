@@ -2,10 +2,10 @@
 contain base-a pseudoprimes, counting of pseudoprimes per class, the
 even-pseudoprime enumerator, empty-class scanning, and ingestion of
 externally computed pseudoprime lists.  Every listing of pseudoprimes comes
-from one windowed Fermat scan: `_windows` splits a range at 2**32,
-`_presieve` builds a cofactor array over each window, `_undecided` refutes
-almost every survivor from it, and `_fermat_mask` tests the rest,
-vectorized below 2**32 and scalar above.
+from one Fermat scan over progressions, `_scan`: over each window of
+`_windows`, `_presieve` builds a cofactor array, `_undecided` refutes almost
+every survivor from it, `bulk.powmod_vector` tests the rest, and
+`is_prime` runs on the hits the cofactor lemma leaves open.
 
 The presieve is exact.  Let p be a prime with p not dividing a.  If p | n
 and a^n = a (mod n), then a^(n-1) = 1 (mod p), so ord_p(a) | n-1; as
@@ -20,7 +20,8 @@ prime to p, so a^(p-1) = 1 (mod p**j): only a base-a Wieferich prime
 (1093 and 3511 for a = 2, 3 for a = 10) can divide n twice.  If p | a and
 p**(v+1) | n with v = v_p(a), then p**(v+1) divides a^n (n >= 2) but not a.
 With these, the presieve's cofactor k is the whole part of n made of the
-primes up to its bound b.
+primes up to its bound b (the table primes, those up to b prime to the
+progression's step).
 
 The cofactor lemma (the large-prime split of Pomerance, Selfridge and
 Wagstaff) decides almost every survivor.  Let q = n/k; it has no prime
@@ -30,6 +31,12 @@ n-1 = k-1 (mod q-1) and q-1, so q | a^g - 1 with g = gcd(k-1, q-1) >= 1,
 and a^g > q.  So a^g < q refutes n.  The strict < needs no other guard:
 if q | a then a^g >= a >= q; q = 1 gives a^g >= 1 = q; and k = 1 gives
 g = q-1, so a^g >= 2^(q-1) >= q.
+
+So a prime n survives only in two cases.  Either n is a table prime, so
+k = n and q = 1, or n has no prime factor up to b, so k = 1 and q = n, and
+then n >= (b+1)**2, as n < (b+1)**2 would refute it.  Every other
+survivor is composite, and a Fermat hit there is a pseudoprime.  So the
+scan runs `is_prime` on its hits n <= b and n >= (b+1)**2 only.
 
 The admissibility test for a class r mod m and base a works with
 g = gcd(r, m), g_a the largest divisor of g coprime to a, and
@@ -54,6 +61,7 @@ from .arith import INT_DOMAIN, coprime_part, factor, is_prime, jacobi, multiplic
 from .errors import CapacityError, InputFormatError
 
 _CHUNK = 1 << 20  # entries per presieve call; its uint32 cofactor array is 4 MB
+_TABLE_BOUND = 1 << 16  # table primes stay below it; so (b+1)**2 <= 2**32
 _PLACES = 6  # decimals of format_fraction
 
 
@@ -205,22 +213,9 @@ def _check_capacity(hi: int) -> None:
 
 def _windows(lo: int, hi: int, step: int = 1):
     """Split [lo, hi) into windows (wlo, whi) of at most _CHUNK * step
-    numbers, so a scan of one number in step has at most _CHUNK in each.  No
-    window straddles bulk.VECTOR_MOD_LIMIT, so each lies wholly on the
-    vector side or wholly on the scalar side of it."""
-    cut = min(max(lo, bulk.VECTOR_MOD_LIMIT), hi)
-    for start, stop in ((lo, cut), (cut, hi)):
-        for wlo in range(start, stop, _CHUNK * step):
-            yield wlo, min(wlo + _CHUNK * step, stop)
-
-
-def _fermat_mask(a: int, ns: np.ndarray) -> np.ndarray:
-    """Whether a^n = a (mod n) for each n of one window: an ascending uint64
-    array lying wholly below or wholly above bulk.VECTOR_MOD_LIMIT."""
-    if ns.size and ns[-1] >= bulk.VECTOR_MOD_LIMIT:
-        return np.fromiter((pow(a, n, n) == a % n for n in map(int, ns)), bool, ns.size)
-    target = np.uint64(a) % ns if ns.size and a >= ns[0] else np.uint64(a)
-    return bulk.powmod_vector(a, ns, ns) == target
+    numbers, so a scan of one number in step has at most _CHUNK in each."""
+    for wlo in range(lo, hi, _CHUNK * step):
+        yield wlo, min(wlo + _CHUNK * step, hi)
 
 
 def _order_table(a: int, primes: np.ndarray) -> list[tuple[int, int, int]]:
@@ -322,37 +317,39 @@ def _undecided(a: int, start: int, step: int, k: np.ndarray, b: int) -> np.ndarr
     return n[keep]
 
 
-def iter_psp_values(a: int, lo: int, hi: int):
-    """Yield uint64 arrays of the base-a pseudoprimes in [lo, hi), ascending.
+def _scan(a: int, lo: int, hi: int, step: int, classes):
+    """Yield uint64 arrays of the base-a pseudoprimes n in [lo, hi) with
+    n % step in classes, ascending; hi <= 2**63, and lo > 1 exceeds every
+    prime of step.  The table primes are those up to
+    b = min(sqrt(hi), _TABLE_BOUND - 1) prime to step, and `is_prime` runs
+    on the hits n <= b and n >= (b+1)**2 (see the module docstring)."""
+    b = min(isqrt(hi - 1), _TABLE_BOUND - 1)
+    primes = bulk.primes_upto(b)
+    presieve = _presieve(_order_table(a, primes[np.gcd(primes, step) == 1]), step)
+    cap = (b + 1) ** 2
+    for wlo, whi in _windows(lo, hi, step // len(classes)):
+        firsts = [wlo + (r - wlo) % step for r in classes]
+        parts = [_undecided(a, f, step, presieve(f, len(range(f, whi, step))), b) for f in firsts]
+        ns = np.sort(np.concatenate(parts))
+        hits = ns[bulk.powmod_vector(a, ns, ns) == np.uint64(a) % ns]
+        doubt = np.flatnonzero((hits <= b) | (hits >= cap))
+        hits = np.delete(hits, doubt[[is_prime(n) for n in hits[doubt].tolist()]])
+        if hits.size:
+            yield hits
 
-    Each window is presieved by the order table of the primes up to
-    b = sqrt(min(hi, 2**32)) into a cofactor array, which refutes almost
-    every composite and, below 2**32, every prime; the Fermat test runs on
-    the rest.  Above 2**32 it runs in scalar arithmetic (slow), and the
-    deterministic primality test runs on its hits.  hi > 2**63 raises
-    CapacityError; a base outside [2, 2**63), the integer domain of arith,
-    is a ValueError.
+
+def iter_psp_values(a: int, lo: int, hi: int):
+    """Yield uint64 arrays of the base-a pseudoprimes in [lo, hi), ascending:
+    one `_scan` of step 1, with scalar (slow) Fermat tests from 2**32 on.
+    hi > 2**63 raises CapacityError; a base outside [2, 2**63), the integer
+    domain of arith, is a ValueError.
     """
     if not 2 <= a < INT_DOMAIN:
         raise ValueError("base must lie in [2, 2**63)")
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
     _check_capacity(hi)
-    lo = max(lo, 4)
-    if hi <= lo:
-        return
-    b = isqrt(min(hi, bulk.VECTOR_MOD_LIMIT) - 1)
-    base_primes = bulk.primes_upto(b)
-    presieve = _presieve(_order_table(a, base_primes), 1)
-    for wlo, whi in _windows(lo, hi):
-        k = presieve(wlo, whi - wlo)
-        k[base_primes[(wlo <= base_primes) & (base_primes < whi)] - wlo] = 0
-        ns = _undecided(a, wlo, 1, k, b)
-        hits = ns[_fermat_mask(a, ns)]
-        if whi > bulk.VECTOR_MOD_LIMIT:
-            hits = hits[np.fromiter((not is_prime(n) for n in hits.tolist()), bool, hits.size)]
-        if hits.size:
-            yield hits
+    yield from _scan(a, lo, hi, 1, (0,))
 
 
 def _psp_array(a: int, lo: int, hi: int) -> np.ndarray:
@@ -474,26 +471,18 @@ def count_psp_table(a: int, m: int, limits) -> CountTable:
 def enumerate_even_psp(limit: int) -> list[int]:
     """All even base-2 pseudoprimes <= limit, ascending.
 
-    Candidates are n = 2 or 14 (mod 16): an even pseudoprime is 2 mod 4, and
-    the classes 6 and 10 mod 16 are refuted by the Jacobi condition.  Each
-    class is presieved as a progression of step 16.  When ord_p(2) is even,
-    the class n = p (mod p*ord_p(2)) holds only odd n, so every even multiple
-    of p goes; 3, 5, 11 and 13 are such p, which is the old candidate rule
-    gcd(n, 2145) = 1.  The cofactor of each n starts at 2, so n = 2q with q
-    prime gives g = 1 and is refuted untested.  limit >= 2**63 raises
-    CapacityError.
+    One `_scan` of step 16 over the classes 2 and 14: an even pseudoprime is
+    2 mod 4, and the classes 6 and 10 mod 16 are refuted by the Jacobi
+    condition.  Its table primes are the odd ones.  When ord_p(2) is even,
+    the class n = p (mod p*ord_p(2)) holds only odd n, so every even
+    multiple of p goes; 3, 5, 11 and 13 are such p, which is the old
+    candidate rule gcd(n, 2145) = 1.  The cofactor of each n starts at 2, so
+    n = 2q with q prime gives g = 1 and is refuted untested.  limit >= 2**63
+    raises CapacityError.
     """
     _check_limit(limit)
     _check_capacity(limit + 1)
-    b = isqrt(min(limit + 1, bulk.VECTOR_MOD_LIMIT) - 1)
-    presieve = _presieve(_order_table(2, bulk.primes_upto(b)[1:]), 16)
-    found: list[int] = []
-    for wlo, whi in _windows(4, limit + 1, 8):  # the classes 2 and 14 mod 16
-        firsts = [wlo + (r - wlo) % 16 for r in (2, 14)]
-        parts = [_undecided(2, f, 16, presieve(f, len(range(f, whi, 16))), b) for f in firsts]
-        cand = np.sort(np.concatenate(parts))
-        found.extend(cand[_fermat_mask(2, cand)].tolist())
-    return found
+    return [n for part in _scan(2, 4, limit + 1, 16, (2, 14)) for n in part.tolist()]
 
 
 def even_psp_brute(limit: int) -> list[int]:
@@ -504,7 +493,7 @@ def even_psp_brute(limit: int) -> list[int]:
     found: list[int] = []
     for wlo, whi in _windows(4, limit + 1):
         ns = np.arange(wlo + wlo % 2, whi, 2, dtype=np.uint64)
-        found.extend(ns[_fermat_mask(2, ns)].tolist())
+        found.extend(ns[bulk.powmod_vector(2, ns, ns) == 2].tolist())
     return found
 
 

@@ -62,6 +62,29 @@ def test_powmod_matches_direct_for_small_inputs():
                 assert pp.powmod(a, e, m) == (a**e) % m
 
 
+def test_powmod_vector_matches_pow():
+    rng = random.Random(11)
+    exponents = [0, 1, 2, 2**64 - 1] + [rng.randrange(2**64) for _ in range(4)]
+    # each modulus alone, then one array with moduli on both sides of 2**32
+    moduli = [1, 2, 2**32 - 1, 2**32, 2**63 - 25]
+    for ms in [[m] for m in moduli] + [moduli]:
+        mod = np.array([m for m in ms for _ in exponents], dtype=np.uint64)
+        exp = np.array(exponents * len(ms), dtype=np.uint64)
+        bases = [rng.randrange(2**64) for _ in exp]
+        got = bulk.powmod_vector(np.array(bases, dtype=np.uint64), exp, mod)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [pow(*t) for t in zip(bases, exp.tolist(), mod.tolist())]
+        for base in (0, 1, 7, 2**63 - 1):
+            got = bulk.powmod_vector(base, exp, mod).tolist()
+            assert got == [pow(base, e, m) for e, m in zip(exp.tolist(), mod.tolist())]
+            for e in (0, 2**64 - 1):
+                assert bulk.powmod_vector(base, e, mod).tolist() == [
+                    pow(base, e, m) for m in mod.tolist()]
+    empty = np.zeros(0, dtype=np.uint64)
+    assert bulk.powmod_vector(3, empty, empty).tolist() == []
+    assert bulk.powmod_vector(empty, empty, empty).tolist() == []
+
+
 # ---------------------------------------------------------------------------
 # primality
 
@@ -240,7 +263,7 @@ def test_tau_array_matches_scalar():
     rng = random.Random(9)
     hi = 10**6
     xs = [1, 2, 4, 2**19, 3**12, 720720, hi] + [rng.randrange(1, hi + 1) for _ in range(5000)]
-    got = bulk.tau_array(np.array(xs, dtype=np.int64), bulk.spf_window(hi + 1)).tolist()
+    got = bulk.tau_array(np.array(xs, dtype=np.int64)).tolist()
     assert got == [pp.tau(x) for x in xs]
 
 
@@ -249,7 +272,7 @@ def test_arrays_past_the_first_short_chunk():
     # holds chunks that read values from two and three chunks back
     hi = 2**22 + 1000
     phi, lam = bulk.phi_lambda_arrays(hi)
-    tau = bulk.tau_array(np.arange(1, hi + 1), bulk.spf_window(hi + 1))
+    tau = bulk.tau_array(np.arange(1, hi + 1))
     rng = random.Random(10)
     ns = [n for c in (3 * 2**20, 2**22) for n in range(c - 300, c + 301)]
     ns += [2**21, 2**22, 3**13, 1021**2] + [rng.randrange(2, hi + 1) for _ in range(2000)]
@@ -262,16 +285,13 @@ def test_arrays_past_the_first_short_chunk():
 
 
 def test_bulk_arrays_reject_entries_below_1():
-    spf = bulk.spf_window(100)
     for bad in (0, -6):
         with pytest.raises(ValueError):
             bulk.coprime_part_array(np.array([4, bad]), np.array([6, 6]))
         with pytest.raises(ValueError):
             bulk.coprime_part_array(np.array([4, 6]), np.array([6, bad]))
         with pytest.raises(ValueError):
-            bulk.tau_array(np.array([12, bad]), spf)
-    with pytest.raises(ValueError):  # spf must cover x.max()
-        bulk.tau_array(np.array([200]), spf)
+            bulk.tau_array(np.array([12, bad]))
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,8 @@ def test_class_conditions_domain_errors():
 
 
 def test_scan_across_2_pow_32_matches_scalar_oracle():
-    # windows below 2**32 run vectorized, the rest scalar; 2**32 + 1 = 641 * 6700417
+    # powmod_vector runs scalar pow on the window that reaches 2**32, and
+    # is_prime checks the hits past (b+1)**2 = 2**32; 2**32 + 1 = 641 * 6700417
     lo, hi = 2**32 - 2**12, 2**32 + 2**12
     found = np.concatenate(list(pp.iter_psp_values(2, lo, hi))).tolist()
     expected = [n for n in range(lo, hi) if pp.is_fermat_psp(n, 2).is_pseudoprime]
