@@ -74,8 +74,6 @@ def composite_flags(hi: int, base_primes: np.ndarray) -> np.ndarray:
     base_primes must hold every prime p with p*p < hi, ascending."""
     comp = np.zeros(hi, dtype=bool)
     for p in base_primes.tolist():
-        if p * p >= hi:
-            break
         comp[p * p :: p] = True
     return comp
 

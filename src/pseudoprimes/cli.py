@@ -2,7 +2,8 @@
 
 Two command groups: `psp` for residue-class pseudoprime statistics and
 `ordowski` for the divisor-base density machinery.  Numeric flags are parsed
-exactly, in plain decimal or scientific form (1e8, 9.007199254740993e15).
+exactly, in plain decimal or scientific form (1e8, 9.007199254740993e15),
+from ASCII text without digit separators.
 Each subcommand's handler returns its stdout text, which is deterministic for
 a given invocation; tables print as CSV or as a JSON array of the same rows,
 and exact rationals print as num/den followed by a 6-decimal rendering
@@ -26,6 +27,8 @@ from .errors import CapacityError
 
 def _integer(text: str) -> int:
     """Integer flag value, parsed exactly in plain decimal or scientific form."""
+    if not text.isascii() or "_" in text:  # Decimal alone takes 1_000 and non-ASCII digits
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     try:
         value = Decimal(text)
     except InvalidOperation:

@@ -19,9 +19,12 @@ bound the power of p.  If p**j | n, ord_{p^j}(a) divides n-1, which is
 prime to p, so a^(p-1) = 1 (mod p**j): only a base-a Wieferich prime
 (1093 and 3511 for a = 2, 3 for a = 10) can divide n twice.  If p | a and
 p**(v+1) | n with v = v_p(a), then p**(v+1) divides a^n (n >= 2) but not a.
-With these, the presieve's cofactor k is the whole part of n made of the
-primes up to its bound b (the table primes, those up to b prime to the
-progression's step).
+So every table prime (those up to the bound b prime to the progression's
+step) is one row (p, mod, w) of `_order_table`: a pseudoprime divisible by
+p is n = p (mod mod), with mod = p*ord_p(a), or mod = p when p | a, and
+p**(w+1) never divides it, with w = v_p(a) when p | a and otherwise the
+largest w with a^(p-1) = 1 (mod p**w).  `_presieve` reads every row by one
+rule, and its cofactor k is the whole part of n made of the primes up to b.
 
 The cofactor lemma (the large-prime split of Pomerance, Selfridge and
 Wagstaff) decides almost every survivor.  Let q = n/k; it has no prime
@@ -63,6 +66,8 @@ from .errors import CapacityError, InputFormatError
 _CHUNK = 1 << 20  # entries per presieve call; its uint32 cofactor array is 4 MB
 _TABLE_BOUND = 1 << 16  # table primes stay below it; so (b+1)**2 <= 2**32
 _PLACES = 6  # decimals of format_fraction
+_TABLE_MOD_CAP = 10**5  # a count table holds one entry per class
+_SCAN_MOD_CAP = 10**3  # scan_empty_classes visits about max_mod**2 / 2 classes
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +198,20 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
 # pseudoprime value stream
 
 
-def _check_base_modulus(a: int, m: int) -> None:
+def _check_base_modulus(a: int, m: int = 1) -> None:
     """Reject a base outside [2, 2**63), the integer domain of arith, or a modulus < 1."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
     if not 2 <= a < INT_DOMAIN:
         raise ValueError("base must lie in [2, 2**63)")
+
+
+def _check_table(a: int, m: int) -> None:
+    """_check_base_modulus, and a CapacityError for a count table modulus
+    past _TABLE_MOD_CAP, before anything is allocated or scanned."""
+    _check_base_modulus(a, m)
+    if m > _TABLE_MOD_CAP:
+        raise CapacityError(f"count tables are capped at modulus <= {_TABLE_MOD_CAP}")
 
 
 def _check_limit(limit: int) -> None:
@@ -218,63 +231,55 @@ def _windows(lo: int, hi: int, step: int = 1):
         yield wlo, min(wlo + _CHUNK * step, hi)
 
 
-def _order_table(a: int, primes: np.ndarray) -> list[tuple[int, int, int]]:
-    """(p, mod, w) for each p in primes (ascending, each below 2**16): a
-    base-a pseudoprime divisible by p is n = p (mod mod), and p**(w+1) never
-    divides it.  For p | a, mod = p and w = v_p(a).  Otherwise mod = p *
-    ord_p(a) and w is the largest exponent with a^(p-1) = 1 (mod p**w): 1
-    but for the base-a Wieferich primes.  Each order d starts at p-1 and
-    loses a prime q of p-1 (taken from a smallest-prime-factor table) while
-    a^(d/q) = 1 (mod p)."""
-    divides = a % primes.astype(np.uint64) == 0
-    table = []
-    for p in primes[divides].tolist():
-        w = 1
-        while a % p ** (w + 1) == 0:
-            w += 1
-        table.append((p, p, w))
-    p = primes[~divides]
-    if p.size:
-        spf = bulk.spf_window(int(p[-1]))
-        order = p - 1
-        rest = p - 1  # the part of p-1 whose primes are still to strip
-        while (live := np.flatnonzero(rest > 1)).size:
-            q = spf[rest[live]]
-            while (m := rest[live] % q == 0).any():
-                rest[live[m]] //= q[m]
-            while live.size:
-                m = order[live] % q == 0
-                live, q = live[m], q[m]
-                m = bulk.powmod_vector(a, order[live] // q, p[live]) == 1
-                live, q = live[m], q[m]
-                order[live] //= q
-        w = 1 + (bulk.powmod_vector(a, p - 1, p * p) == 1)
-        for i in np.flatnonzero(w > 1).tolist():
-            q, e = int(p[i]), 2
-            while pow(a, q - 1, q ** (e + 1)) == 1:
-                e += 1
-            w[i] = e
-        table += zip(p.tolist(), (p * order).tolist(), w.tolist())
-    return sorted(table)
+def _order_table(a: int, b: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The presieve's rows (p, mod, w) (see the module docstring) as three
+    aligned uint64 arrays over the primes p <= b prime to step, ascending
+    (b < 2**16).  One smallest-prime-factor array lists the primes and
+    factors each p-1; the order starts at p-1, or at 1 where p | a, and
+    loses a prime q of it while a^(order/q) = 1 (mod p)."""
+    spf = bulk.spf_window(b + 1)
+    p = np.flatnonzero(spf == np.arange(b + 1))[1:]  # spf[p] = p, and spf[0] = 0
+    p = p[np.gcd(p, step) == 1]
+    divides = a % p.astype(np.uint64) == 0
+    order = np.where(divides, 1, p - 1)
+    rest = order.copy()  # the part of the order whose primes are still to strip
+    while (live := np.flatnonzero(rest > 1)).size:
+        q = spf[rest[live]]
+        while (m := rest[live] % q == 0).any():
+            rest[live[m]] //= q[m]
+        while live.size:
+            m = order[live] % q == 0
+            live, q = live[m], q[m]
+            m = bulk.powmod_vector(a, order[live] // q, p[live]) == 1
+            live, q = live[m], q[m]
+            order[live] //= q
+    w = np.ones(p.size, dtype=np.uint64)
+    for i in np.flatnonzero(divides | (bulk.powmod_vector(a, p - 1, p * p) == 1)).tolist():
+        q, e = int(p[i]), 1
+        while a % q ** (e + 1) == 0 or pow(a, q - 1, q ** (e + 1)) == 1:
+            e += 1
+        w[i] = e
+    return p.astype(np.uint64), (p * order).astype(np.uint64), w
 
 
 def _presieve(table, step: int):
     """The presieve of scans over n = start + step*j: a function
     (start, count) -> k, the cofactor array over 0 <= j < count.  k[j] = 0
     where the table refutes n, and otherwise k[j] is the part of n made of
-    the primes of the table and of step.  A multiple of a table prime p
-    survives only in the class n = p (mod mod) and only if p**(w+1) does
-    not divide it.  k starts at gcd(start, step): every p of the table must
-    be prime to step, and every prime of step must divide start less often
+    the primes of the table and of step.  Each row (p, mod, w) is read by
+    one rule: the multiples of p in the class n = p (mod mod) gain p, the
+    others go, and so do those of p**(w+1), after those of p**2 .. p**w
+    gain p.  k starts at gcd(start, step): every p of the table must be
+    prime to step, and every prime of step must divide start less often
     than step.  k is uint32 when every n is below 2**32.  The inverses of
     step are found once; each call finds the first j of every slice by CRT
     in one vector pass, then strikes each slice."""
-    p, mod, w = np.array([r for r in table if r[1] > r[0]], dtype=np.uint64).reshape(-1, 3).T
+    p, mod, w = table
     g = np.gcd(mod, np.uint64(step))
     s, sq = mod // g, p * p  # the class strides, and the moduli struck for w = 1
     inv_s = np.array([pow(step // d, -1, m) for d, m in zip(g.tolist(), s.tolist())], np.uint64)
     inv_sq = np.array([pow(step, -1, m) for m in sq.tolist()], dtype=np.uint64)
-    deep = [(q, 2 - (m == q), e) for q, m, e in table if m == q or e > 1]  # p | a or Wieferich
+    deep = [(q, e) for q, e in zip(p.tolist(), w.tolist()) if e > 1]
 
     def presieve(start: int, count: int) -> np.ndarray:
         top = start + step * (count - 1)
@@ -284,13 +289,17 @@ def _presieve(table, step: int):
         first = (p - start % p) % p * inv_sq % p  # inv_sq inverts step mod p too
         first2 = np.where(w == 1, (sq - start % sq) % sq * inv_sq % sq, count)
         for q, j, c, stride, j2 in zip(*(x.tolist() for x in (p, first, cls, s, first2))):
-            kept = k[c::stride] * q if c < count else None
-            k[j::q] = 0
-            if kept is not None:
+            if c >= count:  # the class is empty here
+                k[j::q] = 0
+            elif stride == q:  # the class holds every multiple of q
+                k[j::q] *= q
+            else:
+                kept = k[c::stride] * q
+                k[j::q] = 0
                 k[c::stride] = kept
             k[j2 :: q * q] = 0
-        for q, e0, w_q in deep:  # multiply by q on multiples of q**e, e <= w; then by 0
-            for e in range(e0, w_q + 2):
+        for q, w_q in deep:  # multiply by q on multiples of q**e, 2 <= e <= w; then by 0
+            for e in range(2, w_q + 2):
                 k[-start * pow(step, -1, q**e) % q**e :: q**e] *= q if e <= w_q else 0
         return k
 
@@ -324,8 +333,7 @@ def _scan(a: int, lo: int, hi: int, step: int, classes):
     b = min(sqrt(hi), _TABLE_BOUND - 1) prime to step, and `is_prime` runs
     on the hits n <= b and n >= (b+1)**2 (see the module docstring)."""
     b = min(isqrt(hi - 1), _TABLE_BOUND - 1)
-    primes = bulk.primes_upto(b)
-    presieve = _presieve(_order_table(a, primes[np.gcd(primes, step) == 1]), step)
+    presieve = _presieve(_order_table(a, b, step), step)
     cap = (b + 1) ** 2
     for wlo, whi in _windows(lo, hi, step // len(classes)):
         firsts = [wlo + (r - wlo) % step for r in classes]
@@ -344,8 +352,7 @@ def iter_psp_values(a: int, lo: int, hi: int):
     hi > 2**63 raises CapacityError; a base outside [2, 2**63), the integer
     domain of arith, is a ValueError.
     """
-    if not 2 <= a < INT_DOMAIN:
-        raise ValueError("base must lie in [2, 2**63)")
+    _check_base_modulus(a)
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
     _check_capacity(hi)
@@ -397,7 +404,7 @@ class CountTable:
 
     @classmethod
     def from_values(cls, base, modulus, limits, values, coverage) -> "CountTable":
-        _check_base_modulus(base, modulus)
+        _check_table(base, modulus)
         limits = tuple(sorted({int(x) for x in limits}))
         counts: dict = {}
         values = np.asarray(values, dtype=np.uint64)
@@ -443,7 +450,7 @@ def count_psp_in_classes(
 ) -> CountTable:
     """Count base-a pseudoprimes n <= limit per class n mod m over one
     half-open segment (default: all of [2, limit+1))."""
-    _check_base_modulus(a, m)
+    _check_table(a, m)
     _check_limit(limit)
     top = max(2, limit + 1)
     lo, hi = (2, top) if segment is None else segment
@@ -455,7 +462,7 @@ def count_psp_in_classes(
 def count_psp_table(a: int, m: int, limits) -> CountTable:
     """Full count table of base-a pseudoprimes per class mod m at several
     limits, from one scan up to the largest."""
-    _check_base_modulus(a, m)
+    _check_table(a, m)
     limits = sorted(int(x) for x in limits)
     if not limits:
         raise ValueError("need at least one limit")
@@ -510,9 +517,12 @@ class EmptyClass:
 
 def scan_empty_classes(a: int, max_mod: int, limit: int) -> list[EmptyClass]:
     """Every class r mod m (2 <= m <= max_mod) with no base-a pseudoprime
-    <= limit, annotated with whether the admissibility conditions refute it."""
+    <= limit, annotated with whether the admissibility conditions refute it.
+    max_mod > _SCAN_MOD_CAP raises CapacityError before the scan."""
     if max_mod < 2:
         raise ValueError("max_mod must be >= 2")
+    if max_mod > _SCAN_MOD_CAP:
+        raise CapacityError(f"empty-class scans are capped at max_mod <= {_SCAN_MOD_CAP}")
     values = psp_values(a, limit)
     out: list[EmptyClass] = []
     for m in range(2, max_mod + 1):
@@ -529,25 +539,24 @@ def scan_empty_classes(a: int, max_mod: int, limit: int) -> list[EmptyClass]:
 
 
 def ingest_psp_list(lines, m: int, base: int = 2) -> CountTable:
-    """Stream a sorted list of decimal pseudoprimes (one per line) into a
-    per-class count table mod m.  Runs in constant memory; sortedness and the
-    64-bit range are validated, pseudoprimality is not."""
-    _check_base_modulus(base, m)
+    """Stream a sorted list of decimal pseudoprimes (one per line, ASCII
+    digits only) into a per-class count table mod m.  Its memory grows with
+    m, not with the number of lines; sortedness and the 64-bit range are
+    validated, pseudoprimality is not."""
+    _check_table(base, m)
     tally = [0] * m
-    prev = -1
     top = 0
-    lineno = 0
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
         try:
-            value = int(text, 10)
+            value = int(raw)  # int() also takes a sign, 5_61 and non-ASCII digits
         except ValueError:
-            raise InputFormatError(f"line {lineno}: not a decimal integer: {text!r}") from None
-        if value < 0 or value >= 1 << 64:
+            value = -1
+        if value < 0 or "+" in raw or "-" in raw or "_" in raw or not raw.isascii():
+            raise InputFormatError(f"line {lineno}: not a decimal integer: {raw.strip()!r}")
+        if value >= 1 << 64:
             raise InputFormatError(f"line {lineno}: value out of 64-bit range")
-        if value < prev:
+        if value < top:
             raise InputFormatError(f"line {lineno}: values must be sorted ascending")
-        prev = value
         top = value
         tally[value % m] += 1
     counts = {(r, top): tally[r] for r in range(m)}

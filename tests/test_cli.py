@@ -200,9 +200,16 @@ def test_bad_sizes_are_value_errors(capsys, call, argv):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_capacity_exit_code(capsys):
+def test_capacity_exit_code(capsys, tmp_path):
     code, _, err = _capture(capsys, ["ordowski", "c1", "--b-max", "1e9"])
     assert code == 3 and "capacity" in err
+    path = tmp_path / "list.txt"
+    path.write_text("341\n", encoding="utf-8")
+    for argv in (f"psp count --mod {sieve._TABLE_MOD_CAP + 1} --limit 1e3",
+                 f"psp ingest --mod {sieve._TABLE_MOD_CAP + 1} --input {path}",
+                 f"psp empty-classes --mod {sieve._SCAN_MOD_CAP + 1} --limit 1e3"):
+        code, out, err = _capture(capsys, argv.split())
+        assert code == 3 and out == "" and "capacity" in err, argv
 
 
 def test_usage_exit_codes(capsys):
@@ -221,13 +228,16 @@ def test_usage_exit_codes(capsys):
 def test_integer_flags_parse_exactly(capsys):
     assert _integer("9.007199254740993e15") == 9007199254740993  # float gives ...992
     assert _integer("9.223372036854775807e18") == 2**63 - 1
-    for text, value in [("1e8", 10**8), ("2e7", 2 * 10**7), ("1_000", 1000), (" 12 ", 12),
-                        ("-5", -5), ("1.0e1", 10)]:
+    for text, value in [("1e8", 10**8), ("2e7", 2 * 10**7), (" 12 ", 12), ("-5", -5),
+                        ("1.0e1", 10)]:
         assert _integer(text) == value
+    # ASCII only, and no Python digit separators
     for text in ["9.223372036854775808e18", "1e400", "1e999999999", "1.5", "1e-3", "nan",
-                 "inf", "0x10", ""]:
+                 "inf", "0x10", "", "1_000", "2_000_00_0", "1e1_0", "\u0663", "\uff11\uff12"]:
         code, out, err = _capture(capsys, ["ordowski", "sb-density", "--b", text])
         assert code == 2 and out == "" and "usage:" in err and "Traceback" not in err, text
+    code, out, err = _capture(capsys, ["psp", "even", "--limit", "2_000_00_0"])
+    assert code == 2 and out == "" and "usage:" in err
     exact = _capture(capsys, ["ordowski", "sb-density", "--b", "9007199254740993"])
     assert exact[0] == 0
     assert _capture(capsys, ["ordowski", "sb-density", "--b", "9.007199254740993e15"]) == exact

@@ -1,16 +1,17 @@
 """Property tests of the presieved pseudoprime scan against plain-Python
 oracles: random windows (some straddling 2**32) for bases 2..64, the
-presieve's cofactor array against trial division, and random limits for
-the even enumerator.  Derandomized, so every run draws the same examples."""
+presieve's cofactor array against trial division and against the per-prime
+rule, and random limits for the even enumerator.  Derandomized, so every run
+draws the same examples."""
 
 from math import isqrt
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudoprimes as pp
 from pseudoprimes import sieve
+from pseudoprimes.arith import multiplicative_order
 
 SCAN = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -56,6 +57,22 @@ def _smooth_part(n, primes):
     return k
 
 
+def _refuted(a, ns, primes, step):
+    """The n in the progression ns that some prime p of primes rules out:
+    p | n with n != p (mod p*ord_p(a)), or p**(w+1) | n, where w = v_p(a)
+    for p | a and otherwise the largest w with a^(p-1) = 1 (mod p**w)."""
+    out = set()
+    for p in primes:
+        order = multiplicative_order(a, p) if a % p else 1
+        w = 1
+        while a % p ** (w + 1) == 0 or pow(a, p - 1, p ** (w + 1)) == 1:
+            w += 1
+        for n in ns[-ns.start * pow(step, -1, p) % p :: p]:  # the multiples of p
+            if (n - p) % (p * order) or n % p ** (w + 1) == 0:
+                out.add(n)
+    return out
+
+
 @settings(SCAN, max_examples=100)
 @given(a=st.integers(2, 64), window=windows(), even=st.sampled_from([0, 2, 14]))
 def test_cofactor_array_matches_trial_division(a, window, even):
@@ -69,10 +86,12 @@ def test_cofactor_array_matches_trial_division(a, window, even):
     if even:
         a, step, lo, table_primes = 2, 16, lo + (even - lo) % 16, primes[1:]
     ns = range(lo, hi, step)
-    table = sieve._order_table(a, np.array(table_primes, dtype=np.int64))
-    k = sieve._presieve(table, step)(lo, len(ns))
+    k = sieve._presieve(sieve._order_table(a, b, step), step)(lo, len(ns))
     undecided = set(sieve._undecided(a, lo, step, k, b).tolist())
+    refuted = _refuted(a, ns, table_primes, step)
     for n, kn in zip(ns, k.tolist()):
+        # strength: k = 0 exactly where a table prime refutes n
+        assert (kn == 0) == (n in refuted), (n, kn)
         if kn:
             assert kn == _smooth_part(n, primes), (n, kn)
         if pow(a, n, n) == a % n and not pp.is_prime(n):

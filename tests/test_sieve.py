@@ -175,9 +175,8 @@ def test_scan_across_2_pow_32_matches_scalar_oracle():
 
 @pytest.mark.parametrize("a", [2, 3, 5, 6, 10])
 def test_order_table_matches_scalar_order(a):
-    primes = bulk.primes_upto(2**16)
-    table = sieve._order_table(a, primes)
-    assert [p for p, _, _ in table] == primes.tolist()
+    table = list(zip(*(x.tolist() for x in sieve._order_table(a, 2**16, 1))))
+    assert [p for p, _, _ in table] == bulk.primes_upto(2**16).tolist()
     coprime = [(p, mod, w) for p, mod, w in table if a % p]
     assert [mod // p for p, mod, _ in coprime] == [
         arith.multiplicative_order(a, p) for p, _, _ in coprime
@@ -205,8 +204,13 @@ def _psp_oracle(a, lo, hi):
         (2, 3511**2 - 2**12, 3511**2 + 2**12, [3511**2]),
         (10, 4, 10**5, [9, 18, 45]),  # 3 is a base-10 Wieferich prime
         (6, 4, 10**5, [10, 15, 21]),  # 2 and 3 divide the base
+        (4, 4, 10**5, [4, 12, 15]),  # v_2(4) = 2: the multiples of 8 go
+        (7, 4, 10**5, [6, 21, 25]),  # ord_2(7) = ord_3(7) = 1
+        (2**62, 4, 10**5, [8, 16, 24]),  # v_2 = 62: the strike's slice step is 2**63
+        (6**24, 4, 10**5, [8, 9, 12]),  # v_2 = v_3 = 24
     ],
-    ids=["q-is-the-base", "341", "1093-squared", "3511-squared", "base-10", "base-6"],
+    ids=["q-is-the-base", "341", "1093-squared", "3511-squared", "base-10", "base-6",
+         "base-4", "base-7", "base-2**62", "base-6**24"],
 )
 def test_scan_edge_cases_match_fermat_oracle(a, lo, hi, pinned):
     found = [int(n) for part in pp.iter_psp_values(a, lo, hi) for n in part]
@@ -387,8 +391,10 @@ def test_ingest_empty_stream():
 
 
 def test_ingest_rejects_garbage_with_line_number():
-    with pytest.raises(InputFormatError, match="line 2"):
-        pp.ingest_psp_list(io.StringIO("341\nx41\n"), 2)
+    # a line is ASCII digits only: no sign, digit separator or other script
+    for text in ("x41", "5_61", "+341", "-341", "\u0665\u0666\u0661", "3 41", ""):
+        with pytest.raises(InputFormatError, match="line 2"):
+            pp.ingest_psp_list(io.StringIO(f"341\n{text}\n"), 2)
 
 
 def test_ingest_rejects_descending():
@@ -412,6 +418,22 @@ def test_tables_reject_bad_base_and_modulus_up_front():
             pp.CountTable.from_values(base, m, [10], np.array([341], dtype=np.uint64), [(2, 11)])
         with pytest.raises(ValueError, match="modulus|base"):
             pp.ingest_psp_list(_unread(), m, base)
+
+
+def test_table_moduli_past_the_cap_raise_before_any_work(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned before the modulus was checked")
+
+    monkeypatch.setattr(sieve, "_scan", no_scan)
+    m = sieve._TABLE_MOD_CAP + 1
+    for call in (lambda: pp.ingest_psp_list(_unread(), m),
+                 lambda: pp.CountTable.from_values(2, m, [10], _unread(), [(2, 11)]),
+                 lambda: pp.count_psp_in_classes(2, m, 10**3),
+                 lambda: pp.count_psp_table(2, m, [10**3]),
+                 lambda: pp.scan_empty_classes(2, sieve._SCAN_MOD_CAP + 1, 10**3)):
+        with pytest.raises(CapacityError):
+            call()
+    assert pp.ingest_psp_list(io.StringIO("341\n"), m - 1).count(341, 341) == 1  # the cap runs
 
 
 # ---------------------------------------------------------------------------
