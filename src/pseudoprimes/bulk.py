@@ -1,10 +1,12 @@
 """Vectorized bulk arithmetic: one composite sieve (which also lists the
 primes), a smallest-prime-factor array, elementwise modular exponentiation,
-and multiplicative-function arrays.
+a capped power table, and multiplicative-function arrays.
 
 These back the residue-class counting and density modules.  The
 exponentiation is vectorized while every modulus is below 2**32, so products
-of two reduced residues fit a uint64, and runs scalar `pow` otherwise.
+of two reduced residues fit a uint64, and runs scalar `pow` otherwise.  The
+smallest-prime-factor, phi, lambda and tau arrays are int32: their values are
+below their index, which is kept below 2**31.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .arith import _lambda_prime_power
 
 VECTOR_MOD_LIMIT = 1 << 32
+POWER_CAP = 1 << 63  # capped_power's ceiling
 _RUN = 1 << 20  # entries per _spf_runs chunk; bounds its temporaries
 
 
@@ -29,13 +32,16 @@ def primes_upto(limit: int) -> np.ndarray:
 
 
 def spf_window(hi: int) -> np.ndarray:
-    """Smallest prime factor of each n in [0, hi); 0 for n < 2.
+    """Smallest prime factor of each n in [0, hi), as int32; 0 for n < 2.
+    hi >= 2**31 is a ValueError.
 
     Composites are marked by ascending primes p <= sqrt(hi-1), so the first
     mark a position receives is its least prime; survivors are primes and map
     to themselves.
     """
-    spf = np.zeros(hi, dtype=np.int64)
+    if hi >= 1 << 31:
+        raise ValueError(f"spf_window needs hi < 2**31, got {hi}")
+    spf = np.zeros(hi, dtype=np.int32)
     for p in primes_upto(isqrt(hi - 1)).tolist():
         sl = spf[p * p :: p]
         sl[sl == 0] = p
@@ -67,6 +73,26 @@ def powmod_vector(base, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray
         b = b * b % mod
 
 
+def capped_power(a: int, g):
+    """Elementwise min(a**g, 2**63) as uint64, for an int a >= 2 and
+    exponents g >= 0 (an array or a scalar).
+
+    One table of a**e for e < 64, each capped at 2**63, answers every g, as
+    a**63 >= 2**63.  So capped_power(a, g) >= x is exactly a**g >= x for
+    every x <= 2**63.  The callers' bounds: the scan's cofactor lemma asks
+    a**g >= q for a prime cofactor q < 2**32; count_S asks s**g > t for
+    t <= 5 * 10**7, and reads s**g mod t off the value where it is below
+    2**63."""
+    if a < 2:
+        raise ValueError("capped_power needs a >= 2")
+    powers = np.full(64, POWER_CAP, dtype=np.uint64)
+    p, e = 1, 0
+    while p < POWER_CAP:
+        powers[e] = p
+        p, e = p * a, e + 1
+    return powers[np.minimum(g, 63)]
+
+
 def composite_flags(hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Boolean array over [0, hi): True exactly for composite n (n >= 2).
     It is the sieve behind primes_upto.
@@ -87,11 +113,11 @@ def _spf_runs(spf: np.ndarray):
     most n/2 < s, and the primes of rest all exceed p >= 2, so pe <= n/3 < s
     unless n == pe: every value a chunk reads from an earlier index is final.
     """
-    pe_all = np.zeros(spf.size, dtype=np.int64)
+    pe_all = np.zeros(spf.size, dtype=np.int32)
     s = 2
     while s < spf.size:
         e = min(2 * s, s + _RUN, spf.size)
-        n = np.arange(s, e, dtype=np.int64)
+        n = np.arange(s, e, dtype=np.int32)
         p = spf[s:e]
         m = n // p
         pe = np.where(spf[m] == p, pe_all[m] * p, p)
@@ -101,16 +127,18 @@ def _spf_runs(spf: np.ndarray):
 
 
 def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, lam) with phi[n] = Euler phi and lam[n] = universal exponent of
-    the unit group mod n, for 0 <= n <= hi (index 0 is set to 0).
+    """(phi, lam) as int32 arrays with phi[n] = Euler phi and lam[n] =
+    universal exponent of the unit group mod n, for 0 <= n <= hi < 2**31 - 1
+    (index 0 is set to 0).
 
     One pass of _spf_runs: phi(n) = phi(m) * p if p | m, else phi(m) * (p-1);
     lam(n) = lcm(lam(rest), lam(pe)), with lam(p) = p - 1 and lam(p**k) for
     k >= 2 from arith._lambda_prime_power."""
-    phi = np.zeros(hi + 1, dtype=np.int64)
-    lam = np.zeros(hi + 1, dtype=np.int64)
+    spf = spf_window(hi + 1)
+    phi = np.zeros(hi + 1, dtype=np.int32)
+    lam = np.zeros(hi + 1, dtype=np.int32)
     phi[1:2] = lam[1:2] = 1
-    for sl, p, m, pe, rest in _spf_runs(spf_window(hi + 1)):
+    for sl, p, m, pe, rest in _spf_runs(spf):
         phi[sl] = phi[m] * np.where(pe > p, p, p - 1)
         lam[sl] = p - 1
         for i in np.flatnonzero((rest == 1) & (pe > p)).tolist():
@@ -144,14 +172,14 @@ def coprime_part_array(x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def tau_array(x: np.ndarray) -> np.ndarray:
-    """Divisor count of each x >= 1.
+    """Divisor count of each x >= 1, as int32 (every x < 2**31 - 1).
 
     One pass of _spf_runs over spf_window(x.max() + 1): tau(n) = tau(m) + 1
     when n is the prime power pe, else tau(rest) * tau(pe)."""
     if x.size and x.min() < 1:
         raise ValueError("tau_array needs every x >= 1")
     spf = spf_window(int(x.max(initial=0)) + 1)
-    tau = np.zeros(spf.size, dtype=np.int64)
+    tau = np.zeros(spf.size, dtype=np.int32)
     tau[1:2] = 1
     for sl, _, m, pe, rest in _spf_runs(spf):
         tau[sl] = tau[m] + 1

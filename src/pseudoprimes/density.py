@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -52,6 +52,7 @@ _ORDER_CENSUS_CAP = 10**7
 _CLASS_SYSTEM_CAP = 10**5
 _UNION_CAP = 30
 _COUNT_CAP = 10**8
+_T_CHUNK = 1 << 22  # t values per chunk of one count_S row
 _C1_CAP = 10**5
 _TAIL_CAP = 2 * 10**7
 _SCAN_PERIOD_CAP = 1 << 27
@@ -231,16 +232,30 @@ def union_density_scan(k: int) -> Fraction:
 
 
 def c1_partial(b_max: int) -> Fraction:
-    """Exact partial sum of delta(T_b) for 2 <= b <= b_max."""
+    """Exact partial sum of delta(T_b) for 2 <= b <= b_max.
+
+    The terms are added in a balanced tree, pairs of neighbours at each
+    level, so most sums are of fractions with small denominators."""
     if b_max < 2:
         raise ValueError("b_max must be >= 2")
     if b_max > _C1_CAP:
         raise CapacityError(f"c1_partial capped at b_max <= {_C1_CAP}")
-    return sum((sb_density(b) for b in range(2, b_max + 1)), Fraction(0))
+    terms = [sb_density(b) for b in range(2, b_max + 1)]
+    while len(terms) > 1:
+        terms = [x + y for x, y in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    return terms[0]
 
 
 # ---------------------------------------------------------------------------
 # counting members below a bound
+
+
+def _prime_to(s: int, units: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The t in [lo, hi) prime to s, ascending, as uint32 k*s + u over the
+    units u mod s (ascending, as uint32)."""
+    rows = np.arange(lo // s, (hi - 1) // s + 1, dtype=np.uint32)
+    t = (rows[:, None] * np.uint32(s) + units).ravel()
+    return t[np.searchsorted(t, lo) : np.searchsorted(t, hi)]
 
 
 def count_S(limit: int) -> tuple[int, int]:
@@ -252,11 +267,23 @@ def count_S(limit: int) -> tuple[int, int]:
     p**(v_p(a)+1) divides n and a**n but not a), and then reduces to
     a**(n-1) == 1 (mod b).
     The scan enumerates divisor pairs n = s*t with s < t grouped by the
-    smaller side s, keeps the t coprime to s, and tests the base s modulo t
-    and the base t modulo s.  On the t side the exponent n-1 is taken mod
-    lambda(s): t is a unit mod s, so t**lambda(s) == 1 (mod s).  Each (a, n)
-    pair is tested exactly once (s = t is never coprime), and no
-    factorizations are needed.
+    smaller side s, keeps the t prime to s (built from the units mod s), and
+    tests the base s modulo t and the base t modulo s, each pair once (s = t
+    is never coprime).  No factorization is needed; lambda comes from one
+    sieve to limit // 2.
+
+    Base s mod t: ord_t(s) divides lambda(t) and n-1, so it divides
+    g = gcd(lambda(t), n-1), and s**(n-1) == 1 (mod t) exactly when
+    s**g == 1 (mod t).  Then t divides s**g - 1 >= 1, so s**g >= t + 1: a
+    pair with s**g <= t is refuted before any power is taken mod t.  For the
+    rest, s**g mod t is read off s**g itself where it is below 2**63
+    (bulk.capped_power), and is otherwise a power mod t with the exponent g.
+
+    Base t mod s: t is a unit mod s, so t**(n-1) mod s depends only on t mod
+    s and on the exponent n-1 = s*t - 1 mod lambda(s), that is on t mod
+    P = lcm(s, lambda(s)) (the class system of T_s).  The verdicts are taken
+    once over s < t <= min(s + P, limit // s), and every t reads the one at
+    (t - s - 1) mod P.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
@@ -264,22 +291,33 @@ def count_S(limit: int) -> tuple[int, int]:
         raise CapacityError(f"count_S capped at limit <= {_COUNT_CAP}")
     member = np.zeros(limit + 1, dtype=bool)
     total = 0
-    chunk = 1 << 22
-    root = isqrt(limit)
-    _, lam = bulk.phi_lambda_arrays(root)
-    for s in range(2, root + 1):
-        su = np.uint64(s)
+    lam = bulk.phi_lambda_arrays(limit // 2)[1].view(np.uint32)
+    for s in range(2, isqrt(limit) + 1):
         tmax = limit // s
-        for t0 in range(s + 1, tmax + 1, chunk):
-            t = np.arange(t0, min(t0 + chunk, tmax + 1), dtype=np.uint64)
-            t = t[np.gcd(t, su) == 1]
-            n = su * t
-            e = n - np.uint64(1)
-            pass_s = bulk.powmod_vector(s, e, t) == 1  # divisor a = s
-            pass_t = bulk.powmod_vector(t, e % np.uint64(lam[s]), np.full(t.size, su)) == 1
-            total += int(pass_s.sum()) + int(pass_t.sum())
-            member[n[pass_s | pass_t]] = True
-    return int(member.sum()), total
+        units = np.ones(s, dtype=bool)
+        for p, _ in factor(s).factors:
+            units[::p] = False
+        units = np.flatnonzero(units).astype(np.uint32)
+        period = lcm(s, int(lam[s]))
+        t = _prime_to(s, units, s + 1, min(s + period, tmax) + 1)
+        e = (t * np.uint32(s) - np.uint32(1)) % lam[s]
+        verdict = np.zeros(min(period, tmax - s), dtype=bool)
+        verdict[t - np.uint32(s + 1)] = bulk.powmod_vector(t, e, np.full(t.size, s)) == 1
+        for t0 in range(s + 1, tmax + 1, _T_CHUNK):
+            t = _prime_to(s, units, t0, min(t0 + _T_CHUNK, tmax + 1))
+            n = t * np.uint32(s)
+            g = np.gcd(lam[t], n - np.uint32(1))
+            power = bulk.capped_power(s, g)
+            live = np.flatnonzero(power > t)  # s**g <= t refutes
+            power, tl = power[live], t[live]
+            big = np.flatnonzero(power == bulk.POWER_CAP)
+            power[big] = bulk.powmod_vector(s, g[live[big]], tl[big])
+            live = live[power % tl == 1]  # divisor a = s
+            pass_t = verdict[(t - np.uint32(s + 1)) % np.uint32(period)]  # divisor a = t
+            total += live.size + int(np.count_nonzero(pass_t))
+            member[n[live]] = True
+            member[n[pass_t]] = True
+    return int(np.count_nonzero(member)), total
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +346,13 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     not dividing b, and v_q(phi0) = 0 for each q dividing b.  So lambda0 |
     phi0, and one coprime-part pass gives both.  Each term is num / b**2
     with the integer num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m,
-    num <= phi0 < b**2 and every term is below 1.  Its floor at scale 10**18 is found by long
-    division in int64: the remainder stays below b**2 <= 4 * 10**14 and is
-    multiplied by at most 10**4 per step, so no value reaches
-    4 * 10**18 < 2**63.  The digits of one step are summed over all b
-    (each column sum is below 10**4 * 2 * 10**7) before they are combined
-    in a Python int, so the total cannot wrap.
+    num <= phi0 < b**2 and every term is below 1.  The phi, lambda and tau
+    arrays are int32, so num is widened to int64 before any product.  Its
+    floor at scale 10**18 is found by long division in int64: the remainder
+    stays below b**2 <= 4 * 10**14 and is multiplied by at most 10**4 per
+    step, so no value reaches 4 * 10**18 < 2**63.  The digits of one step
+    are summed over all b (each column sum is below 10**4 * 2 * 10**7)
+    before they are combined in a Python int, so the total cannot wrap.
     """
     if not 2 <= b_lo < b_hi:
         raise ValueError("need 2 <= b_lo < b_hi")
@@ -325,7 +364,7 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     lam0 = np.gcd(lam[b_lo + 1 :], ratio)
     del phi, lam
     ratio //= lam0  # phi0 / lambda0, in place
-    rem = bulk.tau_array(lam0) * ratio  # num < b**2: the first remainder
+    rem = bulk.tau_array(lam0).astype(np.int64) * ratio  # num < b**2: the first remainder
     del lam0, ratio
     den = b * b
     acc = 0

@@ -317,12 +317,10 @@ def _undecided(a: int, start: int, step: int, k: np.ndarray, b: int) -> np.ndarr
     n = j.astype(np.uint64) * np.uint64(step) + np.uint64(start)
     k = k[j]
     q = n // k
-    cap = (b + 1) ** 2
-    powers = np.array([min(a**e, cap) for e in range(33)], dtype=np.uint64)  # a^32 >= cap
-    keep = q >= cap
+    keep = q >= (b + 1) ** 2
     t = np.flatnonzero(~keep & (k > 1))
-    t = t[powers[np.minimum(k[t] - 1, 32)] >= q[t]]
-    keep[t] = powers[np.minimum(np.gcd(k[t] - 1, q[t] - 1), 32)] >= q[t]
+    t = t[bulk.capped_power(a, k[t] - 1) >= q[t]]
+    keep[t] = bulk.capped_power(a, np.gcd(k[t] - 1, q[t] - 1)) >= q[t]
     return n[keep]
 
 

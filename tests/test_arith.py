@@ -284,6 +284,19 @@ def test_arrays_past_the_first_short_chunk():
         assert [a.tolist() for a in bulk.phi_lambda_arrays(hi)] == [expected, expected]
 
 
+def test_bulk_arrays_are_int32_and_reject_indices_from_2_pow_31():
+    phi, lam = bulk.phi_lambda_arrays(100)
+    tau = bulk.tau_array(np.arange(1, 101))
+    assert {a.dtype for a in (bulk.spf_window(100), phi, lam, tau)} == {np.dtype(np.int32)}
+    # each raises before it allocates an array of 2**31 entries
+    with pytest.raises(ValueError):
+        bulk.spf_window(2**31)
+    with pytest.raises(ValueError):
+        bulk.phi_lambda_arrays(2**31 - 1)
+    with pytest.raises(ValueError):
+        bulk.tau_array(np.array([12, 2**31 - 1]))
+
+
 def test_bulk_arrays_reject_entries_below_1():
     for bad in (0, -6):
         with pytest.raises(ValueError):
@@ -292,6 +305,23 @@ def test_bulk_arrays_reject_entries_below_1():
             bulk.coprime_part_array(np.array([4, 6]), np.array([6, bad]))
         with pytest.raises(ValueError):
             bulk.tau_array(np.array([12, bad]))
+
+
+def test_capped_power_against_python_ints():
+    cap = 2**63
+    for a in (2, 3, 10, 9973):
+        edge = next(e for e in range(64) if a**e >= cap)  # the first capped exponent
+        for g in (0, 1, edge - 1, edge, edge + 1, 63, 64, 2**32 - 1, 2**63):
+            exact = a**g if g <= 64 else None  # a**g >= a**64 > cap past 64
+            got = bulk.capped_power(a, np.array([g], dtype=np.uint64))[0]
+            assert int(got) == (cap if exact is None else min(exact, cap)), (a, g)
+            near = [] if exact is None else [exact - 1, exact, exact + 1]
+            for x in [x for x in near + [1, cap - 1, cap] if 1 <= x <= cap]:
+                assert bool(got >= np.uint64(x)) == (exact is None or exact >= x), (a, g, x)
+    assert bulk.capped_power(3, np.array([2, 39, 40], dtype=np.uint32)).tolist() == [
+        9, 3**39, cap]
+    with pytest.raises(ValueError):
+        bulk.capped_power(1, 5)
 
 
 # ---------------------------------------------------------------------------

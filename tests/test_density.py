@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pseudoprimes as pp
-from pseudoprimes import bulk
+from pseudoprimes import bulk, density
 from pseudoprimes.errors import CapacityError
 
 
@@ -186,6 +186,35 @@ def test_count_S_against_per_divisor_oracle():
         members += d > 0
         dsum += d
     assert pp.count_S(limit) == (members, dsum)
+
+
+def _divisor_base_counts(limit):
+    """count_S(L) for every L <= limit, from the definition with scalar pow:
+    a base a of n is a divisor 1 < a < n with a**n == a (mod n)."""
+    bases = [0] * (limit + 1)
+    for a in range(2, limit // 2 + 1):
+        for n in range(2 * a, limit + 1, a):
+            bases[n] += pow(a, n, n) == a
+    counts, members, pairs = [], 0, 0
+    for d in bases:
+        members, pairs = members + (d > 0), pairs + d
+        counts.append((members, pairs))
+    return counts
+
+
+def test_count_S_every_limit_to_400():
+    expected = _divisor_base_counts(400)
+    for limit in range(2, 401):
+        assert pp.count_S(limit) == expected[limit], limit
+
+
+def test_count_S_across_t_chunk_edges(monkeypatch):
+    # small t-chunks split the s = 2 row (t up to 1500) many times, and the
+    # t-side verdicts of most rows are read across chunk edges
+    expected = _divisor_base_counts(3000)[3000]
+    for chunk in (5, 64):
+        monkeypatch.setattr(density, "_T_CHUNK", chunk)
+        assert pp.count_S(3000) == expected, chunk
 
 
 def test_count_S_small_table_rows():

@@ -6,14 +6,17 @@ draws the same examples."""
 
 from math import isqrt
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import pseudoprimes as pp
 from pseudoprimes import sieve
 from pseudoprimes.arith import multiplicative_order
 
-SCAN = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+# No shrink phase: a failing example is reported as drawn, since shrinking
+# one through these scans can take minutes.
+SCAN = settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @st.composite
