@@ -7,7 +7,9 @@ exponent p^lam, each ratio N(p^j, G)/p^j is at most p^(n-lam), which gives
 N(G) <= tau(lambda(G)) #G / lambda(G); N is multiplicative over p-components.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pseudoprimes as pp
 
@@ -30,9 +32,11 @@ for comps in examples:
     print(f"   N = {report.n_value} <= bound {report.eq_bound} "
           f"(margin {report.margin}), ok={report.all_ok}\n")
 
-# brute-force cross-check on one group
+# brute-force cross-check on one group: (x, y) in C3 x C9 has order
+# lcm(ord x, ord y), with ord x = 3 / gcd(x, 3) and ord y = 9 / gcd(y, 9)
 g = pp.AbelianPGroup(3, (1, 2))
-census = pp.group_order_census_brute(g)
+orders = Counter(lcm(3 // gcd(x, 3), 9 // gcd(y, 9)) for x in range(3) for y in range(9))
+census = dict(sorted(orders.items()))
 print(f"C3 x C9 brute census: {census}")
 print("formula:", {3**j: pp.group_order_count(j, g) for j in range(3)})
 assert pp.group_N(g) == sum(Fraction(n, d) for d, n in census.items())

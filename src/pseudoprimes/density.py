@@ -25,7 +25,6 @@ returned as a certified scaled-integer lower bound with stated deficit.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -48,38 +47,16 @@ from .sieve import ResidueClass
 TAIL_SCALE = 10**18
 _TAIL_STEPS = (10**4,) * 4 + (10**2,)  # long-division steps; product TAIL_SCALE
 
-_ORDER_CENSUS_CAP = 10**7
 _CLASS_SYSTEM_CAP = 10**5
 _UNION_CAP = 30
 _COUNT_CAP = 10**8
 _T_CHUNK = 1 << 22  # t values per chunk of one count_S row
 _C1_CAP = 10**5
 _TAIL_CAP = 2 * 10**7
-_SCAN_PERIOD_CAP = 1 << 27
-_GROUP_BRUTE_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
-# order censuses
-
-
-def _unit_orders(b: int):
-    """Yield (a0, ord(a0)) for every unit a0 mod b, ascending in a0."""
-    lam_f = as_factorization(carmichael_lambda(factor(b)))
-    for a0 in range(1, b):
-        if gcd(a0, b) == 1:
-            yield a0, multiplicative_order(a0, b, lam_f)
-
-
-def order_census(b: int) -> dict:
-    """{d: number of units mod b of multiplicative order exactly d}, ascending
-    in d, by computing the order of every unit mod b; the counts partition
-    the phi(b) units."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    if b > _ORDER_CENSUS_CAP:
-        raise CapacityError(f"order_census capped at b <= {_ORDER_CENSUS_CAP}")
-    return dict(sorted(Counter(d for _, d in _unit_orders(b)).items()))
+# the unit group mod b and its order census
 
 
 def _sylow_components(b: int) -> tuple[AbelianPGroup, ...]:
@@ -103,7 +80,8 @@ def _gb_components(b: int) -> list[AbelianPGroup]:
 
 
 def unit_order_counts(b: int) -> dict:
-    """Same census as order_census(b), from the group structure.
+    """{d: number of units mod b of multiplicative order exactly d}, ascending
+    in d, from the group structure.
 
     The unit group is the product of its p-components G_p, so the number of
     units of order d is the product over p of group_order_count(v_p(d), G_p).
@@ -150,8 +128,12 @@ def sb_class_system(b: int) -> ClassSystem:
         raise ValueError("b must be >= 2")
     if b > _CLASS_SYSTEM_CAP:
         raise CapacityError(f"sb_class_system capped at b <= {_CLASS_SYSTEM_CAP}")
+    lam_f = as_factorization(carmichael_lambda(factor(b)))
     classes = []
-    for a0, d in _unit_orders(b):
+    for a0 in range(1, b):
+        if gcd(a0, b) != 1:
+            continue
+        d = multiplicative_order(a0, b, lam_f)
         if gcd(d, b) != 1:
             continue
         a_class = ResidueClass(a0 % b, b)
@@ -210,25 +192,6 @@ def union_density(k: int) -> Fraction:
 
     walk(0, ResidueClass(0, 1), 1)
     return total
-
-
-def union_density_scan(k: int) -> Fraction:
-    """Independent oracle for union_density: mark one full period of the
-    union of class systems and count."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    systems = [sb_class_system(b) for b in range(2, k + 1)]
-    period = 1
-    for s in systems:
-        for c in s.classes:
-            period = period // gcd(period, c.m) * c.m
-    if period > _SCAN_PERIOD_CAP:
-        raise CapacityError(f"scan period {period} exceeds {_SCAN_PERIOD_CAP}")
-    mark = np.zeros(period, dtype=bool)
-    for s in systems:
-        for c in s.classes:
-            mark[c.r :: c.m] = True
-    return Fraction(int(mark.sum()), period)
 
 
 def c1_partial(b_max: int) -> Fraction:
@@ -447,19 +410,6 @@ def group_N(g: AbelianPGroup) -> Fraction:
     )
 
 
-def group_order_census_brute(g: AbelianPGroup) -> dict:
-    """Element-by-element order census (oracle for the formula)."""
-    if g.order > _GROUP_BRUTE_CAP:
-        raise CapacityError(f"brute census capped at order <= {_GROUP_BRUTE_CAP}")
-    orders = np.ones(1, dtype=np.int64)
-    for l in g.lambdas:
-        m = g.p**l
-        comp = m // np.gcd(np.arange(m, dtype=np.int64), m)
-        orders = np.lcm.outer(orders, comp).ravel()
-    values, counts = np.unique(orders, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
 def _order_bound(components) -> int:
     """tau(lambda(G)) * #G / lambda(G) for G given by its p-components with
     distinct primes: the product over them of (lambda + 1) * #G_p / p**lambda."""
@@ -493,6 +443,8 @@ def check_group_bounds(groups) -> GroupBoundReport:
     if isinstance(groups, AbelianPGroup):
         groups = (groups,)
     components = tuple(groups)
+    if not components:
+        raise ValueError("need at least one component")
     primes = [g.p for g in components]
     if len(set(primes)) != len(primes):
         raise ValueError("components must have distinct primes")

@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
-from . import bulk
 from .arith import (
     Factorization,
     as_factorization,
@@ -23,9 +20,6 @@ from .arith import (
     multiplicative_order,
     powmod,
 )
-from .errors import CapacityError
-
-_BRUTE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -79,28 +73,6 @@ def F_star(n: int | Factorization) -> int:
     for p, _ in f.factors:
         result *= 1 + gcd(p - 1, f.value - 1)
     return result
-
-
-def _powers_of_every_base(n: int, exponent: int) -> np.ndarray:
-    """a**exponent mod n for every a in [0, n), in one vector call."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _BRUTE_CAP:
-        raise CapacityError(f"brute count capped at {_BRUTE_CAP}")
-    bases = np.arange(n, dtype=np.uint64)
-    return bulk.powmod_vector(bases, exponent, np.full(n, n, dtype=np.uint64))
-
-
-def F_brute(n: int) -> int:
-    """Direct count of a in [0, n) with a**(n-1) == 1 (mod n)."""
-    powers = _powers_of_every_base(n, n - 1)
-    return int((powers == 1 % n).sum())
-
-
-def F_star_brute(n: int) -> int:
-    """Direct count of a in [0, n) with a**n == a (mod n)."""
-    powers = _powers_of_every_base(n, n)
-    return int((powers == np.arange(n, dtype=np.uint64)).sum())
 
 
 def D(n: int | Factorization) -> int:

@@ -2,10 +2,10 @@
 contain base-a pseudoprimes, counting of pseudoprimes per class, the
 even-pseudoprime enumerator, empty-class scanning, and ingestion of
 externally computed pseudoprime lists.  Every listing of pseudoprimes comes
-from one Fermat scan over progressions, `_scan`: over each window of
-`_windows`, `_presieve` builds a cofactor array, `_undecided` refutes almost
-every survivor from it, `bulk.powmod_vector` tests the rest, and
-`is_prime` runs on the hits the cofactor lemma leaves open.
+from one Fermat scan over progressions, `_scan`: over each window,
+`_presieve` builds a cofactor array, `_undecided` refutes almost every
+survivor from it, `bulk.powmod_vector` tests the rest, and `is_prime` runs
+on the hits the cofactor lemma leaves open.
 
 The presieve is exact.  Let p be a prime with p not dividing a.  If p | n
 and a^n = a (mod n), then a^(n-1) = 1 (mod p), so ord_p(a) | n-1; as
@@ -224,13 +224,6 @@ def _check_capacity(hi: int) -> None:
         raise CapacityError("scans are capped at n < 2**63")
 
 
-def _windows(lo: int, hi: int, step: int = 1):
-    """Split [lo, hi) into windows (wlo, whi) of at most _CHUNK * step
-    numbers, so a scan of one number in step has at most _CHUNK in each."""
-    for wlo in range(lo, hi, _CHUNK * step):
-        yield wlo, min(wlo + _CHUNK * step, hi)
-
-
 def _order_table(a: int, b: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The presieve's rows (p, mod, w) (see the module docstring) as three
     aligned uint64 arrays over the primes p <= b prime to step, ascending
@@ -333,7 +326,9 @@ def _scan(a: int, lo: int, hi: int, step: int, classes):
     b = min(isqrt(hi - 1), _TABLE_BOUND - 1)
     presieve = _presieve(_order_table(a, b, step), step)
     cap = (b + 1) ** 2
-    for wlo, whi in _windows(lo, hi, step // len(classes)):
+    width = _CHUNK * (step // len(classes))  # a window holds _CHUNK numbers of the classes
+    for wlo in range(lo, hi, width):
+        whi = min(wlo + width, hi)
         firsts = [wlo + (r - wlo) % step for r in classes]
         parts = [_undecided(a, f, step, presieve(f, len(range(f, whi, step))), b) for f in firsts]
         ns = np.sort(np.concatenate(parts))
@@ -488,18 +483,6 @@ def enumerate_even_psp(limit: int) -> list[int]:
     _check_limit(limit)
     _check_capacity(limit + 1)
     return [n for part in _scan(2, 4, limit + 1, 16, (2, 14)) for n in part.tolist()]
-
-
-def even_psp_brute(limit: int) -> list[int]:
-    """Reference enumerator: every even n in [4, limit] tested directly,
-    with no candidate-class shortcuts."""
-    _check_limit(limit)
-    _check_capacity(limit + 1)
-    found: list[int] = []
-    for wlo, whi in _windows(4, limit + 1):
-        ns = np.arange(wlo + wlo % 2, whi, 2, dtype=np.uint64)
-        found.extend(ns[bulk.powmod_vector(2, ns, ns) == 2].tolist())
-    return found
 
 
 # ---------------------------------------------------------------------------

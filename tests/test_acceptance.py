@@ -30,6 +30,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import oracles
 import pseudoprimes as pp
 
 LIMIT_1E8 = 10**8
@@ -222,37 +223,16 @@ def test_criterion_06_sb_densities():
 
 def test_criterion_06_union_density_k3_against_period_scan():
     assert pp.union_density(3) == Fraction(7, 18)
-    assert pp.union_density_scan(3) == Fraction(7, 18)
-
-
-def _union_count_by_definition(k, period):
-    """Members of T_2 u ... u T_k in (period, 2*period], each n = a*b with
-    2 <= b <= k tested directly by a**n == a (mod n): square-and-multiply
-    over all n of one b at once, exact in uint64 while n < 2**32."""
-    assert 2 * period < 2**32
-    member = np.zeros(period, dtype=bool)
-    for b in range(2, k + 1):
-        n = np.arange((period // b + 1) * b, 2 * period + 1, b, dtype=np.uint64)
-        a = n // np.uint64(b)
-        power, square, e = np.ones_like(n), a.copy(), n.copy()
-        while e.any():
-            power = np.where(e & np.uint64(1), power * square % n, power)
-            square = square * square % n
-            e >>= np.uint64(1)
-        member[(n - np.uint64(period + 1))[power == a]] = True
-    return int(member.sum())
+    assert oracles.union_density(3) == Fraction(7, 18)
 
 
 def test_criterion_06_union_density_k10_pinned_value():
     pinned = Fraction(880652, 1587600)
-    computed = pp.union_density(10)
-    assert computed == pp.union_density_scan(10)  # independent full-period oracle
-    assert computed == pinned, computed
+    assert pp.union_density(10) == pinned
     # n = a*b is in T_b iff gcd(a, b) = 1 and a**(n-1) == 1 (mod b), which
-    # depends only on n mod lcm(b**2, lambda(b)); for b <= 10 the lcm of those
-    # moduli is 2520**2, so one window of that length is a full period
-    period = 2520**2
-    assert Fraction(_union_count_by_definition(10, period), period) == pinned
+    # depends only on n mod lcm(b**2, phi(b)); for b <= 10 the lcm of those
+    # moduli is 2520**2, the full period over which the oracle counts members
+    assert oracles.union_density(10) == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +296,11 @@ def test_criterion_09_formulas_match_brute_counts():
     import random
 
     for n in range(1, 10**4 + 1):
-        assert pp.F(n) == pp.F_brute(n), n
-        assert pp.F_star(n) == pp.F_star_brute(n), n
+        assert (pp.F(n), pp.F_star(n)) == oracles.base_counts(n), n
     random.seed(17)
     for _ in range(500):
         n = random.randrange(10**4 + 1, 10**5 + 1)
-        assert pp.F(n) == pp.F_brute(n), n
-        assert pp.F_star(n) == pp.F_star_brute(n), n
+        assert (pp.F(n), pp.F_star(n)) == oracles.base_counts(n), n
 
 
 def test_criterion_09_F_star_fixed_points_to_1e5():
@@ -358,7 +336,7 @@ def test_criterion_10_group_suite():
     for p in (2, 3, 5):
         for lambdas in _partitions_up_to(8):
             g = pp.AbelianPGroup(p, lambdas)
-            census = pp.group_order_census_brute(g)
+            census = oracles.group_order_census(g)
             for j in range(lambdas[-1] + 2):
                 assert pp.group_order_count(j, g) == census.get(p**j, 0), (p, lambdas, j)
             report = pp.check_group_bounds(g)

@@ -1,5 +1,5 @@
 """The fast demos run end to end, so the library attributes they read cannot
-go stale.  Demos 02 and 04 take seconds each and are left to manual runs."""
+go stale.  Demo 04 takes seconds and is left to manual runs."""
 
 import runpy
 from pathlib import Path
@@ -15,6 +15,13 @@ def _run_demo(capsys, name: str) -> str:
 def test_demo_01_residue_class_census(capsys):
     out = _run_demo(capsys, "01_residue_class_census.py")
     assert out.startswith("base-2 pseudoprimes <= 1000000: 247 total\n")
+
+
+def test_demo_02_even_pseudoprimes(capsys):
+    out = _run_demo(capsys, "02_even_pseudoprimes.py")
+    assert out.startswith("even base-2 pseudoprimes <= 10000000: 6 found in ")
+    assert "  161038 = 2 * 73 * 1103\n" in out
+    assert out.endswith("  9115426 = 2 * 31 * 233 * 631\n")
 
 
 def test_demo_03_class_admissibility(capsys):

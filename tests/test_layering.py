@@ -1,6 +1,7 @@
 """The package's modules import one another in fixed layers: each module
-reads only modules of a lower layer, so the import graph has no cycle; and
-every name the benchmark's tracer wraps still exists where it looks."""
+reads only modules of a lower layer, so the import graph has no cycle; the
+test oracles share no kernel with the library above `arith`; and every name
+the benchmark's tracer wraps still exists where it looks."""
 
 import ast
 import importlib.util
@@ -24,22 +25,23 @@ LAYER = {
 }
 
 
-def _package_imports(module: str) -> set[str]:
-    """Package modules that `module` imports anywhere, function bodies too."""
+def _package_imports(path: Path) -> set[str]:
+    """Package modules that the file at `path` imports anywhere, function
+    bodies too."""
     found = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
-            path = node.module.split(".") if node.module else []
+            parts = node.module.split(".") if node.module else []
             if node.level == 0:
-                if path[:1] != ["pseudoprimes"]:
+                if parts[:1] != ["pseudoprimes"]:
                     continue
-                path = path[1:]
-            found.update(path[:1] or [alias.name for alias in node.names])
+                parts = parts[1:]
+            found.update(parts[:1] or [alias.name for alias in node.names])
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                path = alias.name.split(".")
-                if path[0] == "pseudoprimes" and len(path) > 1:
-                    found.add(path[1])
+                parts = alias.name.split(".")
+                if parts[0] == "pseudoprimes" and len(parts) > 1:
+                    found.add(parts[1])
     return found
 
 
@@ -48,14 +50,23 @@ def test_every_module_has_a_layer():
 
 
 def test_bottom_layers():
-    assert _package_imports("errors") == set()
-    assert _package_imports("arith") == set()
-    assert _package_imports("bulk") == {"arith"}
+    assert _package_imports(SRC / "errors.py") == set()
+    assert _package_imports(SRC / "arith.py") == set()
+    assert _package_imports(SRC / "bulk.py") == {"arith"}
+
+
+def test_fermat_imports_only_arith():
+    assert _package_imports(SRC / "fermat.py") == {"arith"}
+
+
+def test_oracles_import_no_library_kernel():
+    # the oracles check bulk, sieve and density, so they may not run them
+    assert _package_imports(ROOT / "tests" / "oracles.py") == {"arith"}
 
 
 def test_modules_import_only_lower_layers():
     for module, layer in LAYER.items():
-        for imported in _package_imports(module):
+        for imported in _package_imports(SRC / f"{module}.py"):
             assert LAYER[imported] < layer, (module, imported)
 
 

@@ -9,6 +9,7 @@ from math import isqrt
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import pseudoprimes as pp
 from pseudoprimes import sieve
 from pseudoprimes.arith import multiplicative_order
@@ -41,7 +42,7 @@ def test_scan_matches_fermat_oracle(a, window):
 @settings(SCAN, max_examples=12)
 @given(limit=st.integers(0, 2 * 10**6))
 def test_even_enumerator_matches_brute(limit):
-    assert pp.enumerate_even_psp(limit) == pp.even_psp_brute(limit)
+    assert pp.enumerate_even_psp(limit) == oracles.even_psp(limit)
 
 
 def _primes_upto(b):

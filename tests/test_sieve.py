@@ -10,6 +10,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import oracles
 import pseudoprimes as pp
 from pseudoprimes import JacobiCondition, arith, bulk, sieve
 from pseudoprimes.cli import run
@@ -224,7 +225,6 @@ def test_scans_past_2_pow_63_raise_capacity_error():
         with pytest.raises(CapacityError):
             list(pp.iter_psp_values(2, lo, hi))
     for call in (lambda: pp.psp_values(2, 2**63), lambda: pp.enumerate_even_psp(2**63),
-                 lambda: pp.even_psp_brute(2**63),
                  lambda: pp.count_psp_in_classes(2, 8, 2**64),
                  lambda: pp.count_psp_table(2, 8, [10, 2**64])):
         with pytest.raises(CapacityError):
@@ -328,7 +328,7 @@ def test_even_psp_first_values():
 
 def test_even_psp_matches_unshortcut_scan_at_1e7():
     fast = pp.enumerate_even_psp(LIMIT_1E7)
-    assert fast == pp.even_psp_brute(LIMIT_1E7)
+    assert fast == oracles.even_psp(LIMIT_1E7)
     assert fast == [161038, 215326, 2568226, 3020626, 7866046, 9115426]
 
 
