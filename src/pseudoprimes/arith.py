@@ -201,9 +201,9 @@ def multiplicative_order(
 ) -> int:
     """Least d >= 1 with a**d == 1 mod n; requires gcd(a, n) == 1.
 
-    Starts from lambda(n) and strips prime factors.  Callers doing bulk work
-    over one modulus can pass factor(carmichael_lambda(n)) to avoid
-    refactoring it per call.
+    Starts from lambda(n) and strips prime factors.  The factorization
+    passed in may be of any multiple of the order, so callers doing bulk
+    work over one modulus can factor one such multiple once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

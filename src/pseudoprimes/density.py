@@ -13,7 +13,7 @@ b, so with N(G) = sum over x in G of 1/ord(x)
 The per-b tail term tau(lambda0) phi0 / (lambda0 b**2), where lambda0 and phi0
 are the exponent and the order of G_b, is the group inequality
 N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2.  G_b is listed
-once, as p-components (_gb_components); sb_density multiplies group_N over
+as p-components (_gb_components); sb_density multiplies group_N over
 them, and tail_bound_term and check_group_bounds read the bound from one
 product over them (_order_bound).  On top of these sit exact union densities
 by CRT inclusion-exclusion and partial sums of the density series.
@@ -36,6 +36,7 @@ from .arith import (
     _lambda_prime_power,
     as_factorization,
     carmichael_lambda,
+    coprime_part,
     divisors,
     factor,
     is_prime,
@@ -121,25 +122,21 @@ class ClassSystem:
 
 
 def sb_class_system(b: int) -> ClassSystem:
-    """The residue classes making up T_b, one of modulus b**2*d per unit
-    a0 mod b with order d coprime to b; the point n = b (the a = 1 case)
-    is excluded."""
+    """The residue classes making up T_b, one per a0 in G_b: a0**lambda0 == 1
+    (mod b), lambda0 the part of lambda(b) prime to b, found apart from
+    _gb_components so each checks the other.  The class is n == b*a0 (mod b**2)
+    and n == 1 mod ord(a0), one CRT step.  The point n = b (a = 1) is excluded."""
     if b < 2:
         raise ValueError("b must be >= 2")
     if b > _CLASS_SYSTEM_CAP:
         raise CapacityError(f"sb_class_system capped at b <= {_CLASS_SYSTEM_CAP}")
-    lam_f = as_factorization(carmichael_lambda(factor(b)))
+    lam0 = coprime_part(carmichael_lambda(factor(b)), b)
+    lam0_f = as_factorization(lam0)
     classes = []
     for a0 in range(1, b):
-        if gcd(a0, b) != 1:
-            continue
-        d = multiplicative_order(a0, b, lam_f)
-        if gcd(d, b) != 1:
-            continue
-        a_class = ResidueClass(a0 % b, b)
-        if d > 1:
-            a_class = a_class.intersect(ResidueClass(pow(b, -1, d), d))
-        classes.append(ResidueClass(b * a_class.r % (b * a_class.m), b * a_class.m))
+        if pow(a0, lam0, b) == 1:
+            d = multiplicative_order(a0, b, lam0_f)
+            classes.append(ResidueClass(b * a0, b * b).intersect(ResidueClass(1 % d, d)))
     return ClassSystem(tuple(sorted(classes, key=lambda c: (c.m, c.r))), (b,))
 
 
@@ -169,8 +166,9 @@ def sb_density(b: int) -> Fraction:
 def union_density(k: int) -> Fraction:
     """Exact density of the union of T_b for 2 <= b <= k, by inclusion-
     exclusion over all classes of all systems; intersections are taken by
-    CRT and empty ones prune the whole subset subtree.  Finitely many
-    excluded points cannot move a density and are ignored."""
+    CRT and empty ones prune the whole subset subtree.  Each term is the
+    integer +-P/m, P the lcm of the class moduli.  Finitely many excluded
+    points cannot move a density and are ignored."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > _UNION_CAP:
@@ -179,19 +177,17 @@ def union_density(k: int) -> Fraction:
         {c for b in range(2, k + 1) for c in sb_class_system(b).classes},
         key=lambda c: (c.m, c.r),
     )
-    total = Fraction(0)
+    period = lcm(*(c.m for c in classes))
 
-    def walk(start: int, current: ResidueClass, sign: int) -> None:
-        nonlocal total
+    def walk(start: int, current: ResidueClass) -> int:  # P * density of current in the union
+        total = 0
         for j in range(start, len(classes)):
             inter = current.intersect(classes[j])
-            if inter is None:
-                continue
-            total += Fraction(sign, inter.m)
-            walk(j + 1, inter, -sign)
+            if inter is not None:
+                total += period // inter.m - walk(j + 1, inter)
+        return total
 
-    walk(0, ResidueClass(0, 1), 1)
-    return total
+    return Fraction(walk(0, ResidueClass(0, 1)), period)
 
 
 def c1_partial(b_max: int) -> Fraction:
@@ -366,6 +362,8 @@ class AbelianPGroup:
     lambdas: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(x, (int, np.integer)) for x in (self.p, *self.lambdas)):
+            raise ValueError("p and lambdas must be integers")
         if not is_prime(self.p):
             raise ValueError("p must be prime")
         if not self.lambdas:
@@ -388,8 +386,8 @@ def group_order_count(j: int, g: AbelianPGroup) -> int:
     For j >= 1 this is prod(min(p**j, p**li)) - prod(min(p**(j-1), p**li));
     j = 0 counts the identity and j beyond the exponent gives 0.
     """
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    if not isinstance(j, (int, np.integer)) or j < 0:
+        raise ValueError("j must be an integer >= 0")
     if j == 0:
         return 1
     p = g.p
@@ -443,8 +441,8 @@ def check_group_bounds(groups) -> GroupBoundReport:
     if isinstance(groups, AbelianPGroup):
         groups = (groups,)
     components = tuple(groups)
-    if not components:
-        raise ValueError("need at least one component")
+    if not components or not all(isinstance(g, AbelianPGroup) for g in components):
+        raise ValueError("need one or more AbelianPGroup components")
     primes = [g.p for g in components]
     if len(set(primes)) != len(primes):
         raise ValueError("components must have distinct primes")

@@ -368,9 +368,11 @@ def psp_values(a: int, limit: int) -> np.ndarray:
 
 
 def _normalize_coverage(segments) -> tuple[tuple[int, int], ...]:
-    segs = sorted((int(lo), int(hi)) for lo, hi in segments if lo < hi)
+    segs = [(int(lo), int(hi)) for lo, hi in segments]
+    if any(lo > hi for lo, hi in segs):
+        raise ValueError("segment with lo > hi")
     merged: list[list[int]] = []
-    for lo, hi in segs:
+    for lo, hi in sorted(seg for seg in segs if seg[0] < seg[1]):
         if merged and lo < merged[-1][1]:
             raise ValueError("overlapping segments")
         if merged and lo == merged[-1][1]:
@@ -420,8 +422,8 @@ class CountTable:
 
     def count(self, r: int, limit: int | None = None) -> int:
         limit = self._limit(limit)
-        if not 0 <= r < self.modulus:
-            raise ValueError(f"class {r} is outside [0, {self.modulus})")
+        if not isinstance(r, (int, np.integer)) or not 0 <= r < self.modulus:
+            raise ValueError(f"class {r} is not an integer in [0, {self.modulus})")
         return self.counts.get((r, limit), 0)
 
     def total(self, limit: int | None = None) -> int:
@@ -461,7 +463,7 @@ def count_psp_table(a: int, m: int, limits) -> CountTable:
         raise ValueError("need at least one limit")
     _check_limit(limits[0])
     top = limits[-1]
-    return CountTable.from_values(a, m, limits, psp_values(a, top), ((2, top + 1),))
+    return CountTable.from_values(a, m, limits, psp_values(a, top), ((2, max(2, top + 1)),))
 
 
 # ---------------------------------------------------------------------------

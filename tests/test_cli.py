@@ -166,6 +166,8 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
         (lambda: sieve.count_psp_in_classes(2, 4, 1000).total(10**4), None),
         (lambda: sieve.count_psp_in_classes(2, 4, 1000).count(7), None),
         (lambda: sieve.count_psp_in_classes(2, 4, 1000).count(-1), None),
+        (lambda: sieve.count_psp_in_classes(2, 4, 1000).count(1.5), None),
+        (lambda: sieve.CountTable.from_values(2, 4, [10], [], [(5, 2)]), None),
         (lambda: sieve.psp_values(2**64 + 3, 100), None),
         (lambda: sieve.count_psp_table(2**70, 4, [100]), None),
         (lambda: sieve.scan_empty_classes(2**64 + 1, 4, 100), None),
@@ -184,6 +186,8 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
         "total-unscanned-limit",
         "count-class-above-modulus",
         "count-negative-class",
+        "count-non-integer-class",
+        "count-table-reversed-coverage",
         "values-base-past-2-pow-64",
         "count-table-base-2-pow-70",
         "empty-classes-base-past-2-pow-64",

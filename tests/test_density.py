@@ -1,7 +1,6 @@
 """Density machinery: order censuses, class systems, exact densities, union
 densities, countings, tail bounds, and the abelian-group order inequalities."""
 
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -128,7 +127,7 @@ def test_sb_density_counts_one_period():
         assert Fraction(members, period) == pp.sb_density(b)
 
 
-def test_sb_density_past_the_order_census_cap():
+def test_sb_density_at_large_b_matches_unit_order_counts():
     # G_b holds the units whose order is coprime to b, so N(G_b) is the sum
     # of count/d over those orders d of the census
     for b in (10**7 + 1, 2**61 - 1):
@@ -342,6 +341,12 @@ def test_group_validation():
         pp.check_group_bounds([pp.AbelianPGroup(2, (1,)), pp.AbelianPGroup(2, (2,))])
     with pytest.raises(ValueError):
         pp.check_group_bounds([])  # no group: no silent all-ok report
+    # non-integer exponents and non-group components
+    for call in (lambda: pp.AbelianPGroup(2, (1.5,)),
+                 lambda: pp.group_order_count(1.5, pp.AbelianPGroup(3, (1, 2))),
+                 lambda: pp.check_group_bounds([1])):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_group_counts_match_enumeration_exhaustive():

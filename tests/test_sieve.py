@@ -465,6 +465,13 @@ def test_repeated_limits_count_once():
     assert "fraction" in emitted(4, [10, 10])
 
 
+def test_limits_below_two_scan_an_empty_segment():
+    # [2, limit + 1) is empty for limits 0 and 1: no coverage and no error
+    for limits in ([0], [1], [0, 1]):
+        t = pp.count_psp_table(2, 4, limits)
+        assert t.coverage == () and t.total(limits[-1]) == 0
+
+
 def test_emit_empty_table_is_header_only():
     t = pp.CountTable(2, 4, (), {}, ())
     assert pp.emit_table(t, "csv") == "base,modulus,class,limit,count,empty_predicted\n"
