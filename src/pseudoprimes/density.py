@@ -16,7 +16,15 @@ N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2.  G_b is listed
 as p-components (_gb_components); sb_density multiplies group_N over
 them, and tail_bound_term and check_group_bounds read the bound from one
 product over them (_order_bound).  On top of these sit exact union densities
-by CRT inclusion-exclusion and partial sums of the density series.
+and partial sums of the density series.
+
+The union density is an inclusion-exclusion over pairwise-compatible
+classes.  A family of classes x == r_i (mod m_i) has a common solution
+exactly when every pair does, r_i == r_j (mod gcd(m_i, m_j)), and the
+solutions then form one class mod lcm(m_i) (the general Chinese remainder
+theorem, Ore 1952).  So each term needs only the lcm of its moduli, never
+the class itself.  The classes of one T_b are pairwise disjoint, so a
+compatible family holds at most one class per b.
 
 Everything is exact: densities are fractions end to end, and the one sum that
 cannot be held as a reduced fraction (the tail bound over millions of b) is
@@ -118,7 +126,9 @@ class ClassSystem:
 
     @property
     def density(self) -> Fraction:
-        return sum((Fraction(1, c.m) for c in self.classes), Fraction(0))
+        """Sum of 1/m over the classes, as one fraction over their lcm."""
+        period = lcm(*(c.m for c in self.classes))
+        return Fraction(sum(period // c.m for c in self.classes), period)
 
 
 def sb_class_system(b: int) -> ClassSystem:
@@ -165,29 +175,42 @@ def sb_density(b: int) -> Fraction:
 
 def union_density(k: int) -> Fraction:
     """Exact density of the union of T_b for 2 <= b <= k, by inclusion-
-    exclusion over all classes of all systems; intersections are taken by
-    CRT and empty ones prune the whole subset subtree.  Each term is the
-    integer +-P/m, P the lcm of the class moduli.  Finitely many excluded
-    points cannot move a density and are ignored."""
+    exclusion over pairwise-compatible classes of all systems.
+
+    Classes r_i mod m_i have a common member exactly when every pair is
+    compatible, r_i == r_j (mod gcd(m_i, m_j)), and their intersection is
+    then one class mod lcm(m_i) (Ore's general CRT).  So each class i gets
+    once a bitset later[i] of the compatible classes j > i, and a term of
+    the sum is the integer +-P/lcm(m_i), P the lcm of all class moduli;
+    no intersection is ever built.  The classes of one T_b are pairwise
+    disjoint, so a compatible family holds at most one class per b and the
+    walk is at most k - 1 deep.  Finitely many excluded points cannot move
+    a density and are ignored."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > _UNION_CAP:
         raise CapacityError(f"union_density capped at k <= {_UNION_CAP}")
     classes = sorted(
-        {c for b in range(2, k + 1) for c in sb_class_system(b).classes},
-        key=lambda c: (c.m, c.r),
+        {(c.m, c.r) for b in range(2, k + 1) for c in sb_class_system(b).classes}
     )
-    period = lcm(*(c.m for c in classes))
+    period = lcm(*(m for m, _ in classes))
+    later = [
+        sum(1 << j for j in range(i + 1, len(classes))
+            if (r - classes[j][1]) % gcd(m, classes[j][0]) == 0)
+        for i, (m, r) in enumerate(classes)
+    ]
 
-    def walk(start: int, current: ResidueClass) -> int:  # P * density of current in the union
+    def walk(cand: int, m: int) -> int:
+        # P * density of the union of cand inside the current class mod m
         total = 0
-        for j in range(start, len(classes)):
-            inter = current.intersect(classes[j])
-            if inter is not None:
-                total += period // inter.m - walk(j + 1, inter)
+        while cand:
+            j = (cand & -cand).bit_length() - 1
+            cand ^= 1 << j
+            mj = lcm(m, classes[j][0])
+            total += period // mj - walk(cand & later[j], mj)
         return total
 
-    return Fraction(walk(0, ResidueClass(0, 1)), period)
+    return Fraction(walk((1 << len(classes)) - 1, 1), period)
 
 
 def c1_partial(b_max: int) -> Fraction:

@@ -55,6 +55,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -68,6 +69,7 @@ _TABLE_BOUND = 1 << 16  # table primes stay below it; so (b+1)**2 <= 2**32
 _PLACES = 6  # decimals of format_fraction
 _TABLE_MOD_CAP = 10**5  # a count table holds one entry per class
 _SCAN_MOD_CAP = 10**3  # scan_empty_classes visits about max_mod**2 / 2 classes
+_INGEST_CHUNK = 1 << 14  # lines per ingest_psp_list parse; about 2 MB at peak
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +525,52 @@ def scan_empty_classes(a: int, max_mod: int, limit: int) -> list[EmptyClass]:
 
 def ingest_psp_list(lines, m: int, base: int = 2) -> CountTable:
     """Stream a sorted list of decimal pseudoprimes (one per line, ASCII
-    digits only) into a per-class count table mod m.  Its memory grows with
-    m, not with the number of lines; sortedness and the 64-bit range are
-    validated, pseudoprimality is not."""
+    digits only) into a per-class count table mod m.  Sortedness and the
+    64-bit range are validated, pseudoprimality is not.
+
+    The lines are read in chunks of _INGEST_CHUNK, so memory grows with m
+    and that fixed chunk, not with the number of lines.  A chunk is checked
+    as one text (ASCII, no sign or digit separator), parsed in one
+    np.array call, which applies int() to every line and overflows at
+    2**64, checked for order in one compare and tallied by np.bincount.  A
+    chunk that fails any step is read again line by line, which names the
+    first bad line, as does a stream that fails partway through a chunk."""
     _check_table(base, m)
-    tally = [0] * m
+    tally = np.zeros(m, dtype=np.int64)
     top = 0
-    for lineno, raw in enumerate(lines, start=1):
+    lines = iter(lines)
+    start = 1
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(lines, _INGEST_CHUNK))
+        except Exception:  # a bad line read before the stream failed is named first
+            _ingest_lines(chunk, start, m, tally, top)
+            raise
+        if not chunk:
+            break
+        try:
+            text = "".join(chunk)
+            if not text.isascii() or "+" in text or "-" in text or "_" in text:
+                raise ValueError
+            values = np.array(chunk, dtype=np.uint64)
+            if int(values[0]) < top or np.any(values[1:] < values[:-1]):
+                raise ValueError
+        except (ValueError, OverflowError, TypeError):
+            top = _ingest_lines(chunk, start, m, tally, top)
+        else:
+            tally += np.bincount((values % np.uint64(m)).astype(np.intp), minlength=m)
+            top = int(values[-1])
+        start += len(chunk)
+    counts = {(r, top): n for r, n in enumerate(tally.tolist())}
+    return CountTable(base, m, (top,), counts, ())
+
+
+def _ingest_lines(chunk, start: int, m: int, tally: np.ndarray, top: int) -> int:
+    """The per-line rule of ingest_psp_list over one chunk whose first line
+    is line `start`: raise on the first bad line, else tally every line and
+    return the new top value."""
+    for lineno, raw in enumerate(chunk, start=start):
         try:
             value = int(raw)  # int() also takes a sign, 5_61 and non-ASCII digits
         except ValueError:
@@ -542,8 +583,7 @@ def ingest_psp_list(lines, m: int, base: int = 2) -> CountTable:
             raise InputFormatError(f"line {lineno}: values must be sorted ascending")
         top = value
         tally[value % m] += 1
-    counts = {(r, top): tally[r] for r in range(m)}
-    return CountTable(base, m, (top,), counts, ())
+    return top
 
 
 # ---------------------------------------------------------------------------

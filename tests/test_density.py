@@ -2,7 +2,7 @@
 densities, countings, tail bounds, and the abelian-group order inequalities."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -146,6 +146,36 @@ def test_union_density_examples():
 def test_union_density_matches_periodic_scan():
     for k in range(2, 11):
         assert pp.union_density(k) == oracles.union_density(k)
+
+
+def _union_by_crt(k: int) -> Fraction:
+    """The union density by inclusion-exclusion over explicit intersections:
+    each subset's class is built by CRT on (r, m), and an empty one prunes
+    its subtree."""
+    classes = sorted({(c.m, c.r) for b in range(2, k + 1) for c in pp.sb_class_system(b).classes})
+    period = lcm(*(m for m, _ in classes))
+
+    def walk(start, r, m):
+        total = 0
+        for j in range(start, len(classes)):
+            mj, rj = classes[j]
+            g = gcd(m, mj)
+            if (rj - r) % g:
+                continue
+            step = mj // g
+            lm = m * step
+            t = (rj - r) // g * pow(m // g, -1, step) % step
+            total += period // lm - walk(j + 1, (r + m * t) % lm, lm)
+        return total
+
+    return Fraction(walk(0, 0, 1), period)
+
+
+def test_union_density_matches_explicit_crt_walk():
+    # past the periodic scan's reach: the pairwise-compatibility walk against
+    # one that builds every intersection
+    for k in range(11, 18):
+        assert pp.union_density(k) == _union_by_crt(k)
 
 
 def test_union_density_monotone_and_below_c1():

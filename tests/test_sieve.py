@@ -407,6 +407,47 @@ def test_ingest_rejects_out_of_range():
         pp.ingest_psp_list(io.StringIO(f"{1 << 64}\n"), 2)
 
 
+def test_ingest_chunks_tally_like_plain_python():
+    rng = random.Random(20)
+    # 12-bit draws repeat, so equal neighbours occur
+    draws = (rng.getrandbits(rng.choice((12, 64))) for _ in range(sieve._INGEST_CHUNK + 3))
+    values = sorted(draws)
+    values[-1] = (1 << 64) - 1
+    t = pp.ingest_psp_list(io.StringIO("".join(f"{v}\n" for v in values)), 30)
+    tally = [0] * 30
+    for v in values:
+        tally[v % 30] += 1
+    assert t.limits == ((1 << 64) - 1,)
+    assert [t.count(r) for r in range(30)] == tally
+
+
+@pytest.mark.parametrize("bad", ["x41", "5_61", "+341", "", str(1 << 64), "7"])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_ingest_names_bad_line_at_chunk_edge(bad, offset):
+    lineno = sieve._INGEST_CHUNK + offset
+    lines = [f"{100 + i}\n" for i in range(1, sieve._INGEST_CHUNK + 3)]
+    lines[lineno - 1] = bad + "\n"
+    with pytest.raises(InputFormatError, match=f"^line {lineno}: "):
+        pp.ingest_psp_list(iter(lines), 2)
+
+
+def test_ingest_keeps_int_whitespace_and_leading_zeros():
+    t = pp.ingest_psp_list(io.StringIO(" 341 \n0341\n\t561\r\n"), 4)
+    assert t.limits == (561,) and t.count(1) == 3
+
+
+def test_ingest_names_bad_line_before_a_read_error():
+    def stream(second):
+        yield "341\n"
+        yield second
+        raise OSError("read failed")
+
+    with pytest.raises(InputFormatError, match="line 2"):
+        pp.ingest_psp_list(stream("x41\n"), 2)
+    with pytest.raises(OSError, match="read failed"):
+        pp.ingest_psp_list(stream("561\n"), 2)
+
+
 def _unread():
     raise AssertionError("input read before its base and modulus were checked")
     yield
