@@ -10,6 +10,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -70,8 +71,8 @@ def is_prime(n: int) -> bool:
 class Factorization:
     """Prime-power decomposition: value = prod(p**e for p, e in factors).
 
-    factors is sorted by prime and every listed prime is certified prime on
-    construction.
+    factors is sorted by prime and every listed prime is certified prime:
+    on construction, or by factor, which proves each prime it finds.
     """
 
     value: int
@@ -117,7 +118,14 @@ def _pollard_rho(n: int) -> int:
 
 
 def factor(n: int) -> Factorization:
-    """Factor 2 <= n < 2**63 by trial division then Pollard rho."""
+    """Factor 2 <= n < 2**63 by trial division then Pollard rho.
+
+    Every prime it lists is proved here, so the Factorization is built
+    without re-proving them."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError("n must be an integer") from None
     if n < 2:
         raise ValueError("n must be >= 2")
     if n >= INT_DOMAIN:
@@ -126,20 +134,27 @@ def factor(n: int) -> Factorization:
     found: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
+            # n has no prime factor below p and n < p**2: it is 1 or prime
+            if n > 1:
+                found[n] = 1
             break
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            found[m] = found.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return Factorization(value, tuple(sorted(found.items())))
+    else:
+        stack = [n] if n > 1 else []
+        while stack:
+            m = stack.pop()
+            if is_prime(m):
+                found[m] = found.get(m, 0) + 1
+                continue
+            d = _pollard_rho(m)
+            stack.append(d)
+            stack.append(m // d)
+    f = object.__new__(Factorization)
+    object.__setattr__(f, "value", value)
+    object.__setattr__(f, "factors", tuple(sorted(found.items())))
+    return f
 
 
 def as_factorization(n: int | Factorization) -> Factorization:

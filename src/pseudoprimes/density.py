@@ -5,17 +5,29 @@ are a Fermat pseudoprime to the base n/b.  Membership forces gcd(a, b) = 1 and
 reduces to a**(ab-1) == 1 (mod b), so T_b (plus the single excluded point b)
 is a finite union of residue classes: one class mod b**2*d for every unit
 a0 mod b whose multiplicative order d is coprime to b.  Those units form the
-subgroup G_b of (Z/bZ)^*, the product of its p-components with p not dividing
-b, so with N(G) = sum over x in G of 1/ord(x)
+subgroup G_b of (Z/bZ)^*, so with N(G) = sum over x in G of 1/ord(x)
 
     delta(T_b) = N(G_b) / b**2.
 
+G_b is read off the odd primes of b.  For p**e || b with p odd, (Z/p**e)^*
+is C_(p-1) x C_(p**(e-1)), and the second factor is a p-group with p | b, so
+its part of order prime to b is cyclic of order c_p, the part of p - 1 prime
+to b; all of (Z/2**e)^* is a 2-group and 2 | b.  So
+
+    G_b = prod over odd p | b of C_(c_p),
+
+and its q-component (q not dividing b) is the product over p of
+C_(q**v_q(p-1)).  _gb_components lists those from one factor(b) and one
+factor(p - 1) per odd p | b, with no lambda(p**e) and no filter over the
+whole unit group.
+
 The per-b tail term tau(lambda0) phi0 / (lambda0 b**2), where lambda0 and phi0
 are the exponent and the order of G_b, is the group inequality
-N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2.  G_b is listed
-as p-components (_gb_components); sb_density multiplies group_N over
-them, and tail_bound_term and check_group_bounds read the bound from one
-product over them (_order_bound).  On top of these sit exact union densities
+N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2.  sb_density
+multiplies one integer numerator and one power q**lambda per component into
+one fraction; group_N reads N from the same integer (_n_numerator), and
+tail_bound_term and check_group_bounds read the bound from one product over
+the components (_order_bound).  On top of these sit exact union densities
 and partial sums of the density series.
 
 The union density is an inclusion-exclusion over pairwise-compatible
@@ -41,6 +53,7 @@ import numpy as np
 
 from . import bulk
 from .arith import (
+    Factorization,
     _lambda_prime_power,
     as_factorization,
     carmichael_lambda,
@@ -69,7 +82,8 @@ _TAIL_CAP = 2 * 10**7
 
 
 def _sylow_components(b: int) -> tuple[AbelianPGroup, ...]:
-    """The p-components of the unit group mod b, ascending in p.
+    """The p-components of the whole unit group mod b, ascending in p; only
+    unit_order_counts reads them (G_b has its own listing, _gb_components).
 
     Each p**e || b gives a cyclic factor of order lambda(p**e), plus a C_2
     when p = 2 and e >= 3; each cyclic factor splits over the primes of its
@@ -82,10 +96,21 @@ def _sylow_components(b: int) -> tuple[AbelianPGroup, ...]:
     return tuple(AbelianPGroup(q, tuple(sorted(ks))) for q, ks in sorted(exponents.items()))
 
 
-def _gb_components(b: int) -> list[AbelianPGroup]:
-    """The p-components of G_b, the units mod b whose order is prime to b:
-    those of the unit group mod b with p not dividing b."""
-    return [g for g in _sylow_components(b) if b % g.p]
+def _gb_components(f: Factorization) -> list[tuple[int, tuple[int, ...]]]:
+    """The q-components of G_b for b = f.value, as (q, (l1 <= ... <= lk))
+    ascending in q: C_(q**l1) x ... x C_(q**lk).
+
+    G_b is the product over odd p | b of C_(c_p), c_p the part of p - 1
+    prime to b, so each odd p | b adds C_(q**v_q(p-1)) to every q-component
+    with q | p - 1 and q not dividing b.  factor proves every q prime."""
+    b = f.value
+    exponents: dict = {}
+    for p, _ in f.factors:
+        if p > 2:
+            for q, k in factor(p - 1).factors:
+                if b % q:
+                    exponents.setdefault(q, []).append(k)
+    return [(q, tuple(sorted(ks))) for q, ks in sorted(exponents.items())]
 
 
 def unit_order_counts(b: int) -> dict:
@@ -163,10 +188,16 @@ def sb_membership(n: int, b: int) -> bool:
 
 
 def sb_density(b: int) -> Fraction:
-    """Exact density N(G_b) / b**2 of T_b."""
+    """Exact density N(G_b) / b**2 of T_b, as one fraction: N(G_b) is the
+    product over the q-components of _n_numerator / q**lambda."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    return Fraction(prod(group_N(g) for g in _gb_components(b)), b * b)
+    f = factor(b)
+    num = den = 1
+    for q, ls in _gb_components(f):
+        num *= _n_numerator(q, ls)
+        den *= q ** ls[-1]
+    return Fraction(num, den * f.value**2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +343,8 @@ def tail_bound_term(b: int) -> Fraction:
     order of G_b."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    return Fraction(_order_bound(_gb_components(b)), b * b)
+    f = factor(b)
+    return Fraction(_order_bound(_gb_components(f)), f.value**2)
 
 
 def tail_bound(b_lo: int, b_hi: int) -> Fraction:
@@ -394,13 +426,11 @@ class AbelianPGroup:
         if any(l < 1 for l in self.lambdas) or list(self.lambdas) != sorted(self.lambdas):
             raise ValueError("lambdas must be a nondecreasing list of positive integers")
 
-    @property
-    def order(self) -> int:
-        return self.p ** sum(self.lambdas)
 
-    @property
-    def exponent(self) -> int:
-        return self.p ** self.lambdas[-1]
+def _dividing(p: int, lambdas, j: int) -> int:
+    """Elements of order dividing p**j in C_(p**l1) x ... x C_(p**lk):
+    the product of min(p**j, p**li)."""
+    return p ** sum(min(j, l) for l in lambdas)
 
 
 def group_order_count(j: int, g: AbelianPGroup) -> int:
@@ -413,28 +443,32 @@ def group_order_count(j: int, g: AbelianPGroup) -> int:
         raise ValueError("j must be an integer >= 0")
     if j == 0:
         return 1
-    p = g.p
-    hi = 1
-    lo = 1
-    for l in g.lambdas:
-        hi *= min(p**j, p**l)
-        lo *= min(p ** (j - 1), p**l)
-    return hi - lo
+    return _dividing(g.p, g.lambdas, j) - _dividing(g.p, g.lambdas, j - 1)
+
+
+def _n_numerator(p: int, lambdas) -> int:
+    """p**lambda * N(G) for G = C_(p**l1) x ... x C_(p**lk), lambda = lk:
+    the sum over j <= lambda of N(p**j, G) * p**(lambda - j), an integer."""
+    lam = lambdas[-1]
+    total = below = 0  # below: elements of order dividing p**(j-1)
+    for j in range(lam + 1):
+        upto = _dividing(p, lambdas, j)
+        total += (upto - below) * p ** (lam - j)
+        below = upto
+    return total
 
 
 def group_N(g: AbelianPGroup) -> Fraction:
     """N(g) = sum over j of N(p**j, g) / p**j, as one fraction over the
     common denominator p**lambda."""
-    lam = g.lambdas[-1]
-    return Fraction(
-        sum(group_order_count(j, g) * g.p ** (lam - j) for j in range(lam + 1)), g.p**lam
-    )
+    return Fraction(_n_numerator(g.p, g.lambdas), g.p ** g.lambdas[-1])
 
 
 def _order_bound(components) -> int:
-    """tau(lambda(G)) * #G / lambda(G) for G given by its p-components with
-    distinct primes: the product over them of (lambda + 1) * #G_p / p**lambda."""
-    return prod((g.lambdas[-1] + 1) * (g.order // g.exponent) for g in components)
+    """tau(lambda(G)) * #G / lambda(G) for G given by its p-components
+    (p, (l1 <= ... <= lk)) with distinct primes: the product over them of
+    (lk + 1) * p**(l1 + ... + lk - lk)."""
+    return prod((ls[-1] + 1) * p ** (sum(ls) - ls[-1]) for p, ls in components)
 
 
 @dataclass(frozen=True)
@@ -477,4 +511,5 @@ def check_group_bounds(groups) -> GroupBoundReport:
             count = group_order_count(j, g)
             rows.append((g.p, j, count, Fraction(count, g.p**j), cap))
     n_value = prod((group_N(g) for g in components), start=Fraction(1))
-    return GroupBoundReport(n_value, Fraction(_order_bound(components)), tuple(rows))
+    bound = _order_bound((g.p, g.lambdas) for g in components)
+    return GroupBoundReport(n_value, Fraction(bound), tuple(rows))

@@ -1,6 +1,7 @@
 """Arithmetic kernel checked against trial division and exhaustive counts."""
 
 import random
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -145,6 +146,28 @@ def test_factor_domain_errors():
         pp.factor(1)
     with pytest.raises(ValueError):
         pp.factor(1 << 63)
+
+
+def test_factor_takes_integers_only():
+    # numpy integers are integers; floats, fractions and strings are not
+    f = pp.factor(np.int64(12))
+    assert f.factors == ((2, 2), (3, 1)) and type(f.value) is int
+    assert pp.factor(np.uint32(561)).factors == ((3, 1), (11, 1), (17, 1))
+    for bad in (12.0, 12.5, Fraction(12), "12", None):
+        with pytest.raises(ValueError):
+            pp.factor(bad)
+
+
+def test_factor_output_passes_the_factorization_checks():
+    # factor builds its result without the constructor's checks, so every
+    # result must pass them: across the trial-division bound (251**2, 257**2),
+    # prime squares, powers and random 60-bit numbers
+    random.seed(3)
+    ns = [*range(2, 2000), 251**2, 251 * 257, 257**2, 65521**2, 2**62, 3**39,
+          2**61 - 1, 9223372036854775783, *(random.randrange(2, 1 << 60) for _ in range(300))]
+    for n in ns:
+        f = pp.factor(n)
+        assert pp.Factorization(f.value, f.factors) == f, n
 
 
 def test_factorization_invariants_enforced():

@@ -127,15 +127,47 @@ def test_sb_density_counts_one_period():
         assert Fraction(members, period) == pp.sb_density(b)
 
 
+def _density_from_census(b: int) -> Fraction:
+    """N(G_b) / b**2 from the order census of the whole unit group: G_b holds
+    the units whose order is coprime to b, so N(G_b) is the sum of count/d
+    over those orders d.  unit_order_counts lists the unit group on its own
+    (_sylow_components), sharing no code with sb_density's G_b."""
+    n_value = sum(
+        (Fraction(c, d) for d, c in pp.unit_order_counts(b).items() if gcd(d, b) == 1),
+        Fraction(0),
+    )
+    return n_value / (b * b)
+
+
+# large, smooth and two-prime b: 2- and 3-power groups, the primorial to 23,
+# 2 * 65537, primes and the Fermat number 2**32 + 1
+_LARGE_B = (2**20, 3**12, 223092870, 131074, 10**7 + 1, 2**61 - 1, 641 * 6700417)
+
+
 def test_sb_density_at_large_b_matches_unit_order_counts():
-    # G_b holds the units whose order is coprime to b, so N(G_b) is the sum
-    # of count/d over those orders d of the census
-    for b in (10**7 + 1, 2**61 - 1):
-        n_value = sum(
-            (Fraction(c, d) for d, c in pp.unit_order_counts(b).items() if gcd(d, b) == 1),
-            Fraction(0),
-        )
-        assert pp.sb_density(b) == n_value / (b * b), b
+    for b in _LARGE_B:
+        assert pp.sb_density(b) == _density_from_census(b), b
+
+
+def test_sb_density_matches_unit_order_counts_to_2000():
+    for b in range(2, 2001):
+        assert pp.sb_density(b) == _density_from_census(b), b
+
+
+def test_c1_partial_matches_census_sum():
+    expected = sum((_density_from_census(b) for b in range(2, 601)), Fraction(0))
+    assert pp.c1_partial(600) == expected
+
+
+def test_density_functions_take_integers_only():
+    assert pp.sb_density(np.int64(12)) == Fraction(1, 144)
+    assert pp.tail_bound_term(np.int64(12)) == pp.tail_bound_term(12)
+    assert pp.sb_density(np.int64(2**61 - 1)) == pp.sb_density(2**61 - 1)
+    assert pp.is_imprimitive(np.int64(10)) == 2
+    for call in (lambda: pp.sb_density(4.0), lambda: pp.tail_bound_term(7.0),
+                 lambda: pp.is_imprimitive(10.0), lambda: pp.sb_density(Fraction(12))):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_union_density_examples():
@@ -287,6 +319,14 @@ def test_lambda0_gcd_matches_two_coprime_passes_to_1e5():
     lam0 = np.gcd(lam[2:], phi0)
     assert np.array_equal(lam0, bulk.coprime_part_array(lam[2:], b))
     assert np.array_equal(phi0 // lam0, bulk.coprime_part_array(phi[2:] // lam[2:], b))
+
+
+def test_tail_bound_term_is_the_group_bound_on_gb():
+    # the same listing as p-groups, through check_group_bounds' own report
+    for b in range(2, 501):
+        groups = [pp.AbelianPGroup(q, ls) for q, ls in density._gb_components(pp.factor(b))]
+        bound = pp.check_group_bounds(groups).eq_bound if groups else Fraction(1)  # G_b = 1
+        assert pp.tail_bound_term(b) == bound / (b * b), b
 
 
 def test_tail_bound_matches_exact_sum_on_window():
