@@ -117,15 +117,21 @@ def _pollard_rho(n: int) -> int:
         c += 1  # rare cycle failure: restart with a new polynomial
 
 
+def as_index(n, name: str = "n") -> int:
+    """n as a Python int through operator.index, so an int or a numpy
+    integer passes and a float, Fraction or string is a ValueError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 def factor(n: int) -> Factorization:
     """Factor 2 <= n < 2**63 by trial division then Pollard rho.
 
     Every prime it lists is proved here, so the Factorization is built
     without re-proving them."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError("n must be an integer") from None
+    n = as_index(n)
     if n < 2:
         raise ValueError("n must be >= 2")
     if n >= INT_DOMAIN:

@@ -1,12 +1,14 @@
 """Vectorized bulk arithmetic: one composite sieve (which also lists the
 primes), a smallest-prime-factor array, elementwise modular exponentiation,
-a capped power table, and multiplicative-function arrays.
+a capped power table, and arrays of multiplicative functions and of the
+order and exponent of G_n (the units mod n of order coprime to n).
 
 These back the residue-class counting and density modules.  The
 exponentiation is vectorized while every modulus is below 2**32, so products
 of two reduced residues fit a uint64, and runs scalar `pow` otherwise.  The
-smallest-prime-factor, phi, lambda and tau arrays are int32: their values are
-below their index, which is kept below 2**31.
+arrays indexed by n all come from one smallest-prime recurrence, _spf_runs,
+and are int32: their values are at most their index, which is kept below
+2**31.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import _lambda_prime_power
+from .arith import _lambda_prime_power, as_index
 
 VECTOR_MOD_LIMIT = 1 << 32
 POWER_CAP = 1 << 63  # capped_power's ceiling
@@ -134,6 +136,7 @@ def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
     One pass of _spf_runs: phi(n) = phi(m) * p if p | m, else phi(m) * (p-1);
     lam(n) = lcm(lam(rest), lam(pe)), with lam(p) = p - 1 and lam(p**k) for
     k >= 2 from arith._lambda_prime_power."""
+    hi = as_index(hi, "hi")
     spf = spf_window(hi + 1)
     phi = np.zeros(hi + 1, dtype=np.int32)
     lam = np.zeros(hi + 1, dtype=np.int32)
@@ -150,8 +153,48 @@ def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, lam
 
 
+def _strip(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x with every factor of the matching prime p divided out (x >= 1):
+    x // (x & -x) where p = 2, else `%` tests over a shrinking index set."""
+    x = np.where(p == 2, x // (x & -x), x)
+    act = np.flatnonzero(x % p == 0)  # x is odd where p = 2
+    while act.size:
+        x[act] //= p[act]
+        act = act[x[act] % p[act] == 0]
+    return x
+
+
+def phi0_lambda0_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi0, lam0) as int32 arrays with phi0[n] and lam0[n] the order and
+    the exponent of G_n, the subgroup of (Z/nZ)^* of the units whose order is
+    coprime to n, for 0 <= n <= hi < 2**31 - 1 (index 0 is set to 0, and
+    G_1 is trivial).
+
+    One pass of _spf_runs.  Let p = spf(n) and rest = n // p**v_p(n).  Every
+    prime of p - 1 is below p, so none divides n: G_n is C_(p-1) times G_rest
+    without its p-component for odd p, and G_rest without its 2-component for
+    p = 2.  So phi0(n) = (p-1) * strip_p(phi0(rest)) and lam0(n) =
+    lcm(p-1, strip_p(lam0(rest))), with p - 1 read as 1 for p = 2.  Both
+    are at most phi(n) < n, so int32 holds them."""
+    hi = as_index(hi, "hi")
+    spf = spf_window(hi + 1)
+    phi0 = np.zeros(hi + 1, dtype=np.int32)
+    lam0 = np.zeros(hi + 1, dtype=np.int32)
+    phi0[1:2] = lam0[1:2] = 1
+    for sl, p, _, _, rest in _spf_runs(spf):
+        c = np.maximum(p - 1, 1)
+        phi0[sl] = c * _strip(phi0[rest], p)
+        lam0[sl] = np.lcm(c, _strip(lam0[rest], p))
+    return phi0, lam0
+
+
 def coprime_part_array(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Largest divisor of each x coprime to the matching b (every x, b >= 1).
+
+    The library no longer calls it: phi0_lambda0_arrays reads the parts of
+    phi(n) and lambda(n) prime to n off the smallest-prime recurrence, with
+    no gcd passes and no int64 temporaries.  It stays as the tests'
+    independent check of those arrays.
 
     Each pass divides out g = gcd(x, b) and works only on the entries whose
     g was above 1.  The next g is gcd(x / g, g), which equals gcd(x / g, b):

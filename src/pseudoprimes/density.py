@@ -30,6 +30,13 @@ tail_bound_term and check_group_bounds read the bound from one product over
 the components (_order_bound).  On top of these sit exact union densities
 and partial sums of the density series.
 
+The tail sum over millions of b reads phi0 and lambda0 off one recurrence
+in the smallest prime p of b (bulk.phi0_lambda0_arrays): every prime of
+p - 1 is below p and so prime to b, which makes G_b the product of C_(p-1)
+(trivial for p = 2) and G_rest without its p-component, rest = b // p**v_p(b).
+Its numerators tau(lambda0) phi0 / lambda0 are at most phi0 < b, since
+tau(m) <= m, so they fit int32 and their long division fits int64.
+
 The union density is an inclusion-exclusion over pairwise-compatible
 classes.  A family of classes x == r_i (mod m_i) has a common solution
 exactly when every pair does, r_i == r_j (mod gcd(m_i, m_j)), and the
@@ -56,6 +63,7 @@ from .arith import (
     Factorization,
     _lambda_prime_power,
     as_factorization,
+    as_index,
     carmichael_lambda,
     coprime_part,
     divisors,
@@ -68,6 +76,7 @@ from .sieve import ResidueClass
 
 TAIL_SCALE = 10**18
 _TAIL_STEPS = (10**4,) * 4 + (10**2,)  # long-division steps; product TAIL_SCALE
+_TAIL_BLOCK = 1 << 16  # values of b per block of the long division
 
 _CLASS_SYSTEM_CAP = 10**5
 _UNION_CAP = 30
@@ -217,6 +226,7 @@ def union_density(k: int) -> Fraction:
     disjoint, so a compatible family holds at most one class per b and the
     walk is at most k - 1 deep.  Finitely many excluded points cannot move
     a density and are ignored."""
+    k = as_index(k, "k")
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > _UNION_CAP:
@@ -249,6 +259,7 @@ def c1_partial(b_max: int) -> Fraction:
 
     The terms are added in a balanced tree, pairs of neighbours at each
     level, so most sums are of fractions with small denominators."""
+    b_max = as_index(b_max, "b_max")
     if b_max < 2:
         raise ValueError("b_max must be >= 2")
     if b_max > _C1_CAP:
@@ -298,6 +309,7 @@ def count_S(limit: int) -> tuple[int, int]:
     once over s < t <= min(s + P, limit // s), and every t reads the one at
     (t - s - 1) mod P.
     """
+    limit = as_index(limit, "limit")
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > _COUNT_CAP:
@@ -350,41 +362,43 @@ def tail_bound_term(b: int) -> Fraction:
 def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     """Sum of tail_bound_term(b) over b_lo < b <= b_hi.
 
-    phi and lambda come from sieves; each term is accumulated as
-    floor(term * 10**18), so the result is an exact rational lower bound of
-    the true sum with deficit below (b_hi - b_lo) / 10**18.
+    Each term is accumulated as floor(term * 10**18), so the result is an
+    exact rational lower bound of the true sum with deficit below
+    (b_hi - b_lo) / 10**18.
 
-    lambda0 and phi0 are the exponent and the order of G_b: phi0 is the
-    coprime-to-b part of phi(b), and lambda0 = gcd(lambda(b), phi0), since
-    lambda(b) | phi(b) leaves v_q(phi0) >= v_q(lambda(b)) for each prime q
-    not dividing b, and v_q(phi0) = 0 for each q dividing b.  So lambda0 |
-    phi0, and one coprime-part pass gives both.  Each term is num / b**2
-    with the integer num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m,
-    num <= phi0 < b**2 and every term is below 1.  The phi, lambda and tau
-    arrays are int32, so num is widened to int64 before any product.  Its
-    floor at scale 10**18 is found by long division in int64: the remainder
-    stays below b**2 <= 4 * 10**14 and is multiplied by at most 10**4 per
-    step, so no value reaches 4 * 10**18 < 2**63.  The digits of one step
-    are summed over all b (each column sum is below 10**4 * 2 * 10**7)
-    before they are combined in a Python int, so the total cannot wrap.
+    lambda0 and phi0, the exponent and the order of G_b, come from one
+    smallest-prime pass, bulk.phi0_lambda0_arrays: with p = spf(b) and
+    rest = b // p**v_p(b), G_b is C_(p-1) times G_rest without its
+    p-component (without its 2-component, and no C_(p-1), for p = 2), as no
+    prime of p - 1 divides b.  Each term is num / b**2 with the integer
+    num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m, num <= phi0 < b,
+    so num is formed in int32 with no overflow.  Its floor at scale 10**18
+    is found by long division in int64 over blocks of _TAIL_BLOCK values of
+    b: the remainder stays below b**2 <= 4 * 10**14 and is multiplied by at
+    most 10**4 per step, so no value reaches 4 * 10**18 < 2**63.  The digits
+    of one step are summed over the block (each column sum is below
+    10**4 * _TAIL_BLOCK) and the block's columns are combined in a Python
+    int, so the total cannot wrap.
     """
+    b_lo, b_hi = as_index(b_lo, "b_lo"), as_index(b_hi, "b_hi")
     if not 2 <= b_lo < b_hi:
         raise ValueError("need 2 <= b_lo < b_hi")
     if b_hi > _TAIL_CAP:
         raise CapacityError(f"tail_bound capped at b_hi <= {_TAIL_CAP}")
-    phi, lam = bulk.phi_lambda_arrays(b_hi)
-    b = np.arange(b_lo + 1, b_hi + 1, dtype=np.int64)
-    ratio = bulk.coprime_part_array(phi[b_lo + 1 :], b)  # phi0
-    lam0 = np.gcd(lam[b_lo + 1 :], ratio)
-    del phi, lam
-    ratio //= lam0  # phi0 / lambda0, in place
-    rem = bulk.tau_array(lam0).astype(np.int64) * ratio  # num < b**2: the first remainder
-    del lam0, ratio
-    den = b * b
+    phi0, lam0 = bulk.phi0_lambda0_arrays(b_hi)
+    phi0, lam0 = phi0[b_lo + 1 :], lam0[b_lo + 1 :]
+    num = bulk.tau_array(lam0) * (phi0 // lam0)  # num <= phi0 < b
+    del phi0, lam0
     acc = 0
-    for step in _TAIL_STEPS:
-        digits, rem = np.divmod(rem * step, den)
-        acc = acc * step + int(digits.sum())
+    for start in range(0, num.size, _TAIL_BLOCK):
+        rem = num[start : start + _TAIL_BLOCK].astype(np.int64)
+        b = np.arange(b_lo + 1 + start, b_lo + 1 + start + rem.size, dtype=np.int64)
+        den = b * b
+        block = 0
+        for step in _TAIL_STEPS:
+            digits, rem = np.divmod(rem * step, den)
+            block = block * step + int(digits.sum())
+        acc += block
     return Fraction(acc, TAIL_SCALE)
 
 

@@ -270,6 +270,25 @@ def test_phi_lambda_arrays_match_scalar_to_1e4():
         assert (phi[n], lam[n]) == (pp.euler_phi(f), pp.carmichael_lambda(f)), n
 
 
+def _group_order_and_exponent(b: int) -> tuple[int, int]:
+    # phi0 and lambda0 of G_b from scalar arith: the parts of phi(b) and
+    # lambda(b) prime to b
+    f = pp.factor(b)
+    return pp.coprime_part(pp.euler_phi(f), b), pp.coprime_part(pp.carmichael_lambda(f), b)
+
+
+def test_phi0_lambda0_arrays_match_scalar_to_2e4():
+    hi = 2 * 10**4
+    phi0, lam0 = bulk.phi0_lambda0_arrays(hi)
+    assert (phi0[0], lam0[0], phi0[1], lam0[1]) == (0, 0, 1, 1)
+    for b in range(2, hi + 1):
+        assert (phi0[b], lam0[b]) == _group_order_and_exponent(b), b
+    # G_(2**k) is trivial, G_p is all of C_(p-1), G_21 = C_2 x C_2
+    assert all((phi0[2**k], lam0[2**k]) == (1, 1) for k in range(1, 15))
+    assert all((phi0[p], lam0[p]) == (p - 1, p - 1) for p in (3, 5, 7, 9973, 19997))
+    assert (phi0[21], lam0[21]) == (4, 2)
+
+
 def test_coprime_part_array_matches_scalar():
     rng = random.Random(8)
     pairs = [(1, 1), (1, 30), (30, 1), (2**40, 2), (2**40, 6), (3**25, 12), (7**9, 49)]
@@ -295,27 +314,34 @@ def test_arrays_past_the_first_short_chunk():
     # holds chunks that read values from two and three chunks back
     hi = 2**22 + 1000
     phi, lam = bulk.phi_lambda_arrays(hi)
+    phi0, lam0 = bulk.phi0_lambda0_arrays(hi)
     tau = bulk.tau_array(np.arange(1, hi + 1))
     rng = random.Random(10)
-    ns = [n for c in (3 * 2**20, 2**22) for n in range(c - 300, c + 301)]
-    ns += [2**21, 2**22, 3**13, 1021**2] + [rng.randrange(2, hi + 1) for _ in range(2000)]
+    ns = [n for c in (2**21, 3 * 2**20, 2**22) for n in range(c - 300, c + 301)]
+    ns += [3**13, 1021**2] + [rng.randrange(2, hi + 1) for _ in range(2000)]
     for n in ns:
         f = pp.factor(n)
         assert (phi[n], lam[n], tau[n - 1]) == (
             pp.euler_phi(f), pp.carmichael_lambda(f), pp.tau(f)), n
+        assert (phi0[n], lam0[n]) == _group_order_and_exponent(n), n
     for hi, expected in ((0, [0]), (1, [0, 1]), (2, [0, 1, 1])):
         assert [a.tolist() for a in bulk.phi_lambda_arrays(hi)] == [expected, expected]
+        assert [a.tolist() for a in bulk.phi0_lambda0_arrays(hi)] == [expected, expected]
 
 
 def test_bulk_arrays_are_int32_and_reject_indices_from_2_pow_31():
     phi, lam = bulk.phi_lambda_arrays(100)
+    phi0, lam0 = bulk.phi0_lambda0_arrays(100)
     tau = bulk.tau_array(np.arange(1, 101))
-    assert {a.dtype for a in (bulk.spf_window(100), phi, lam, tau)} == {np.dtype(np.int32)}
+    arrays = (bulk.spf_window(100), phi, lam, phi0, lam0, tau)
+    assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
     # each raises before it allocates an array of 2**31 entries
     with pytest.raises(ValueError):
         bulk.spf_window(2**31)
     with pytest.raises(ValueError):
         bulk.phi_lambda_arrays(2**31 - 1)
+    with pytest.raises(ValueError):
+        bulk.phi0_lambda0_arrays(2**31 - 1)
     with pytest.raises(ValueError):
         bulk.tau_array(np.array([12, 2**31 - 1]))
 

@@ -170,6 +170,21 @@ def test_density_functions_take_integers_only():
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: pp.c1_partial(10.0),
+    lambda: pp.union_density(5.0),
+    lambda: pp.count_S(100.0),
+    lambda: pp.tail_bound(10.0, 20),
+    lambda: pp.tail_bound(10, Fraction(20)),
+    lambda: bulk.phi_lambda_arrays(10.0),
+    lambda: bulk.phi0_lambda0_arrays(10.0),
+], ids=["c1_partial", "union_density", "count_S", "tail_bound_lo", "tail_bound_hi",
+        "phi_lambda_arrays", "phi0_lambda0_arrays"])
+def test_sizes_must_be_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def test_union_density_examples():
     assert pp.union_density(2) == Fraction(1, 4)
     assert pp.union_density(3) == Fraction(7, 18)
@@ -310,15 +325,15 @@ def test_lambda0_divides_phi0_to_1e5():
         assert pp.coprime_part(pp.euler_phi(f), b) % lam0 == 0, b
 
 
-def test_lambda0_gcd_matches_two_coprime_passes_to_1e5():
-    # tail_bound takes phi0 from one coprime-part pass and lambda0 as
-    # gcd(lambda, phi0); the two-pass form strips b's primes from each
+def test_phi0_lambda0_arrays_match_two_coprime_passes_to_1e5():
+    # tail_bound reads phi0 and lambda0 off one smallest-prime recurrence;
+    # the two-pass form strips b's primes from phi(b) and lambda(b) by gcd
     phi, lam = bulk.phi_lambda_arrays(10**5)
+    phi0, lam0 = bulk.phi0_lambda0_arrays(10**5)
     b = np.arange(2, 10**5 + 1, dtype=np.int64)
-    phi0 = bulk.coprime_part_array(phi[2:], b)
-    lam0 = np.gcd(lam[2:], phi0)
-    assert np.array_equal(lam0, bulk.coprime_part_array(lam[2:], b))
-    assert np.array_equal(phi0 // lam0, bulk.coprime_part_array(phi[2:] // lam[2:], b))
+    assert np.array_equal(phi0[2:], bulk.coprime_part_array(phi[2:], b))
+    assert np.array_equal(lam0[2:], bulk.coprime_part_array(lam[2:], b))
+    assert np.array_equal(phi0[2:] // lam0[2:], bulk.coprime_part_array(phi[2:] // lam[2:], b))
 
 
 def test_tail_bound_term_is_the_group_bound_on_gb():
@@ -335,6 +350,19 @@ def test_tail_bound_matches_exact_sum_on_window():
     scaled = pp.tail_bound(lo, hi)
     assert scaled <= exact
     assert exact - scaled < Fraction(hi - lo, 10**18)
+
+
+def test_tail_bound_over_several_blocks_is_the_floored_term_sum():
+    # three whole blocks of the long division and a partial last one, each
+    # term floored at scale 10**18 exactly as tail_bound floors it
+    lo = 10**5
+    hi = lo + 3 * density._TAIL_BLOCK + 5
+    scale = density.TAIL_SCALE
+    floored = 0
+    for b in range(lo + 1, hi + 1):
+        term = pp.tail_bound_term(b)
+        floored += term.numerator * scale // term.denominator
+    assert pp.tail_bound(lo, hi) == Fraction(floored, scale)
 
 
 def test_tail_bound_guards():
