@@ -3,7 +3,7 @@
 
 Each T_b is a finite union of residue classes (one per unit mod b whose order
 is coprime to b) minus the single point b.  The demo prints the class systems
-for small b, exact densities, the union density by CRT inclusion-exclusion,
+for small b, exact densities, the union density by a walk over CRT coordinates,
 partial sums of the density series, and member counts below powers of ten.
 """
 

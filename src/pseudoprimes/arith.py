@@ -30,6 +30,8 @@ _SMALL_PRIMES = (
 
 def powmod(base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus with exact intermediates."""
+    base, exponent = as_index(base, "base"), as_index(exponent, "exponent")
+    modulus = as_index(modulus, "modulus")
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if modulus >= INT_DOMAIN:
@@ -41,6 +43,7 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**63."""
+    n = as_index(n)
     if n < 0 or n >= INT_DOMAIN:
         raise ValueError("n out of the supported 63-bit domain")
     if n < 2:
@@ -226,6 +229,7 @@ def multiplicative_order(
     passed in may be of any multiple of the order, so callers doing bulk
     work over one modulus can factor one such multiple once.
     """
+    a, n = as_index(a, "a"), as_index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if gcd(a, n) != 1:
@@ -247,6 +251,7 @@ def multiplicative_order(
 
 def coprime_part(n: int, a: int) -> int:
     """Largest divisor of n coprime to a (n >= 1, a >= 1)."""
+    n, a = as_index(n), as_index(a, "a")
     if n < 1 or a < 1:
         raise ValueError("n and a must be >= 1")
     while True:
@@ -258,6 +263,7 @@ def coprime_part(n: int, a: int) -> int:
 
 def jacobi(a: int, k: int) -> int:
     """Jacobi symbol (a/k) for odd k >= 1; negative a is reduced mod k first."""
+    a, k = as_index(a, "a"), as_index(k, "k")
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
     a %= k

@@ -14,6 +14,7 @@ from math import gcd
 from .arith import (
     Factorization,
     as_factorization,
+    as_index,
     coprime_part,
     divisors,
     is_prime,
@@ -37,10 +38,17 @@ class PspVerdict:
         return self.passes_congruence and self.is_composite
 
 
-def is_fermat_psp(n: int, a: int) -> PspVerdict:
-    """Test a**n == a (mod n) and compositeness of n (n >= 2, a >= 2)."""
+def _check_n_base(n: int, a: int) -> tuple[int, int]:
+    """n and a as ints, both >= 2."""
+    n, a = as_index(n), as_index(a, "a")
     if n < 2 or a < 2:
         raise ValueError("need n >= 2 and a >= 2")
+    return n, a
+
+
+def is_fermat_psp(n: int, a: int) -> PspVerdict:
+    """Test a**n == a (mod n) and compositeness of n (n >= 2, a >= 2)."""
+    n, a = _check_n_base(n, a)
     passes = powmod(a, n, n) == a % n
     return PspVerdict(n, a, passes, not is_prime(n))
 
@@ -49,8 +57,7 @@ def psp_criterion(n: int, a: int) -> bool:
     """Structural form of the Fermat congruence: with n_a the largest divisor
     of n coprime to a, requires ord_a mod n_a to divide n-1 and n/n_a to
     divide a.  Equivalent to a**n == a (mod n)."""
-    if n < 2 or a < 2:
-        raise ValueError("need n >= 2 and a >= 2")
+    n, a = _check_n_base(n, a)
     n_a = coprime_part(n, a)
     if a % (n // n_a) != 0:
         return False

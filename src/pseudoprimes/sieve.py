@@ -61,7 +61,15 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from . import bulk
-from .arith import INT_DOMAIN, coprime_part, factor, is_prime, jacobi, multiplicative_order
+from .arith import (
+    INT_DOMAIN,
+    as_index,
+    coprime_part,
+    factor,
+    is_prime,
+    jacobi,
+    multiplicative_order,
+)
 from .errors import CapacityError, InputFormatError
 
 _CHUNK = 1 << 20  # entries per presieve call; its uint32 cofactor array is 4 MB
@@ -84,6 +92,8 @@ class ResidueClass:
     m: int
 
     def __post_init__(self) -> None:
+        as_index(self.r, "r")
+        as_index(self.m, "m")
         if self.m < 1 or not 0 <= self.r < self.m:
             raise ValueError("need 0 <= r < m")
 
@@ -179,7 +189,8 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
     some k = r (mod m) has (a / k_{2a}) = +1 and FAILS otherwise.  A base
     outside [2, 2**63) is a ValueError, whatever the class.
     """
-    _check_base_modulus(a, m)
+    a, m = _check_base_modulus(a, m)
+    r = as_index(r, "r")
     if not 0 <= r < m:
         raise ValueError("need 0 <= r < m")
     g = gcd(r, m)  # r = 0 gives g = m
@@ -200,25 +211,32 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
 # pseudoprime value stream
 
 
-def _check_base_modulus(a: int, m: int = 1) -> None:
-    """Reject a base outside [2, 2**63), the integer domain of arith, or a modulus < 1."""
+def _check_base_modulus(a: int, m: int = 1) -> tuple[int, int]:
+    """a and m as ints; reject a base outside [2, 2**63), the integer domain
+    of arith, or a modulus < 1."""
+    a, m = as_index(a, "base"), as_index(m, "modulus")
     if m < 1:
         raise ValueError("modulus must be >= 1")
     if not 2 <= a < INT_DOMAIN:
         raise ValueError("base must lie in [2, 2**63)")
+    return a, m
 
 
-def _check_table(a: int, m: int) -> None:
+def _check_table(a: int, m: int) -> tuple[int, int]:
     """_check_base_modulus, and a CapacityError for a count table modulus
     past _TABLE_MOD_CAP, before anything is allocated or scanned."""
-    _check_base_modulus(a, m)
+    a, m = _check_base_modulus(a, m)
     if m > _TABLE_MOD_CAP:
         raise CapacityError(f"count tables are capped at modulus <= {_TABLE_MOD_CAP}")
+    return a, m
 
 
-def _check_limit(limit: int) -> None:
+def _check_limit(limit: int) -> int:
+    """limit as an int >= 0."""
+    limit = as_index(limit, "limit")
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    return limit
 
 
 def _check_capacity(hi: int) -> None:
@@ -347,7 +365,8 @@ def iter_psp_values(a: int, lo: int, hi: int):
     hi > 2**63 raises CapacityError; a base outside [2, 2**63), the integer
     domain of arith, is a ValueError.
     """
-    _check_base_modulus(a)
+    a, _ = _check_base_modulus(a)
+    lo, hi = as_index(lo, "lo"), as_index(hi, "hi")
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
     _check_capacity(hi)
@@ -361,7 +380,7 @@ def _psp_array(a: int, lo: int, hi: int) -> np.ndarray:
 
 def psp_values(a: int, limit: int) -> np.ndarray:
     """All base-a pseudoprimes <= limit as one ascending uint64 array."""
-    _check_limit(limit)
+    limit = _check_limit(limit)
     return _psp_array(a, 2, max(2, limit + 1))
 
 
@@ -401,8 +420,8 @@ class CountTable:
 
     @classmethod
     def from_values(cls, base, modulus, limits, values, coverage) -> "CountTable":
-        _check_table(base, modulus)
-        limits = tuple(sorted({int(x) for x in limits}))
+        base, modulus = _check_table(base, modulus)
+        limits = tuple(sorted({as_index(x, "limit") for x in limits}))
         counts: dict = {}
         values = np.asarray(values, dtype=np.uint64)
         for lim in limits:
@@ -447,10 +466,10 @@ def count_psp_in_classes(
 ) -> CountTable:
     """Count base-a pseudoprimes n <= limit per class n mod m over one
     half-open segment (default: all of [2, limit+1))."""
-    _check_table(a, m)
-    _check_limit(limit)
+    a, m = _check_table(a, m)
+    limit = _check_limit(limit)
     top = max(2, limit + 1)
-    lo, hi = (2, top) if segment is None else segment
+    lo, hi = (2, top) if segment is None else (as_index(x, "segment") for x in segment)
     if not 2 <= lo <= hi <= top:
         raise ValueError("segment must lie within [2, limit+1)")
     return CountTable.from_values(a, m, (limit,), _psp_array(a, lo, hi), ((lo, hi),))
@@ -459,11 +478,10 @@ def count_psp_in_classes(
 def count_psp_table(a: int, m: int, limits) -> CountTable:
     """Full count table of base-a pseudoprimes per class mod m at several
     limits, from one scan up to the largest."""
-    _check_table(a, m)
-    limits = sorted(int(x) for x in limits)
+    a, m = _check_table(a, m)
+    limits = sorted(_check_limit(x) for x in limits)
     if not limits:
         raise ValueError("need at least one limit")
-    _check_limit(limits[0])
     top = limits[-1]
     return CountTable.from_values(a, m, limits, psp_values(a, top), ((2, max(2, top + 1)),))
 
@@ -484,7 +502,7 @@ def enumerate_even_psp(limit: int) -> list[int]:
     n = 2q with q prime gives g = 1 and is refuted untested.  limit >= 2**63
     raises CapacityError.
     """
-    _check_limit(limit)
+    limit = _check_limit(limit)
     _check_capacity(limit + 1)
     return [n for part in _scan(2, 4, limit + 1, 16, (2, 14)) for n in part.tolist()]
 
@@ -504,6 +522,7 @@ def scan_empty_classes(a: int, max_mod: int, limit: int) -> list[EmptyClass]:
     """Every class r mod m (2 <= m <= max_mod) with no base-a pseudoprime
     <= limit, annotated with whether the admissibility conditions refute it.
     max_mod > _SCAN_MOD_CAP raises CapacityError before the scan."""
+    max_mod = as_index(max_mod, "max_mod")
     if max_mod < 2:
         raise ValueError("max_mod must be >= 2")
     if max_mod > _SCAN_MOD_CAP:
@@ -535,7 +554,7 @@ def ingest_psp_list(lines, m: int, base: int = 2) -> CountTable:
     2**64, checked for order in one compare and tallied by np.bincount.  A
     chunk that fails any step is read again line by line, which names the
     first bad line, as does a stream that fails partway through a chunk."""
-    _check_table(base, m)
+    base, m = _check_table(base, m)
     tally = np.zeros(m, dtype=np.int64)
     top = 0
     lines = iter(lines)

@@ -178,8 +178,9 @@ def test_density_functions_take_integers_only():
     lambda: pp.tail_bound(10, Fraction(20)),
     lambda: bulk.phi_lambda_arrays(10.0),
     lambda: bulk.phi0_lambda0_arrays(10.0),
+    lambda: pp.sb_membership(20.0, 4),
 ], ids=["c1_partial", "union_density", "count_S", "tail_bound_lo", "tail_bound_hi",
-        "phi_lambda_arrays", "phi0_lambda0_arrays"])
+        "phi_lambda_arrays", "phi0_lambda0_arrays", "sb_membership"])
 def test_sizes_must_be_integers(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
@@ -219,10 +220,15 @@ def _union_by_crt(k: int) -> Fraction:
 
 
 def test_union_density_matches_explicit_crt_walk():
-    # past the periodic scan's reach: the pairwise-compatibility walk against
-    # one that builds every intersection
+    # past the periodic scan's reach: the coordinate walk against an
+    # inclusion-exclusion that builds every intersection by CRT
     for k in range(11, 18):
         assert pp.union_density(k) == _union_by_crt(k)
+
+
+def test_union_density_pinned_past_the_crt_walk():
+    assert pp.union_density(25) == Fraction(3344238401713330879, 5599173222544151250)
+    assert pp.union_density(30) == Fraction(62766972703950114368, 104384586506001676875)
 
 
 def test_union_density_monotone_and_below_c1():

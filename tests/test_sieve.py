@@ -461,6 +461,36 @@ def test_tables_reject_bad_base_and_modulus_up_front():
             pp.ingest_psp_list(_unread(), m, base)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: pp.psp_values(2, 1e3),
+    lambda: pp.enumerate_even_psp(1e3),
+    lambda: list(pp.iter_psp_values(2, 2.0, 100)),
+    lambda: pp.count_psp_table(2, 4.0, [100]),
+    lambda: pp.count_psp_table(2, 4, [100.5]),
+    lambda: pp.count_psp_in_classes(2, 4, 100.0),
+    lambda: pp.count_psp_in_classes(2, 4, 100, segment=(2.0, 50)),
+    lambda: pp.scan_empty_classes(2, 4.0, 100),
+    lambda: pp.class_conditions(2.0, 1, 4),
+    lambda: pp.ingest_psp_list(["341\n"], 4.0),
+    lambda: pp.ResidueClass(1.5, 4),
+    lambda: pp.is_fermat_psp(341.0, 2),
+    lambda: pp.psp_criterion(341.0, 2),
+    lambda: arith.powmod(2, 3, 5.0),
+    lambda: arith.coprime_part(12.0, 2),
+    lambda: arith.multiplicative_order(2, 7.0),
+    lambda: arith.is_prime(7.5),
+    lambda: arith.jacobi(2.5, 7),
+], ids=["psp_values", "enumerate_even_psp", "iter_psp_values", "count_psp_table_m",
+        "count_psp_table_limit", "count_psp_in_classes", "count_psp_in_classes_segment",
+        "scan_empty_classes", "class_conditions", "ingest_psp_list", "ResidueClass",
+        "is_fermat_psp", "psp_criterion", "powmod", "coprime_part", "multiplicative_order",
+        "is_prime", "jacobi"])
+def test_sizes_must_be_integers(call):
+    # the scan, Fermat and arith twin of test_density's check
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def test_table_moduli_past_the_cap_raise_before_any_work(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scanned before the modulus was checked")
