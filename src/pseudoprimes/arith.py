@@ -170,6 +170,7 @@ def as_factorization(n: int | Factorization) -> Factorization:
     """Coerce an int to its Factorization (n = 1 gets the empty product)."""
     if isinstance(n, Factorization):
         return n
+    n = as_index(n)
     if n == 1:
         return Factorization(1, ())
     return factor(n)

@@ -8,7 +8,8 @@ exponentiation is vectorized while every modulus is below 2**32, so products
 of two reduced residues fit a uint64, and runs scalar `pow` otherwise.  The
 arrays indexed by n all come from one smallest-prime recurrence, _spf_runs,
 and are int32: their values are at most their index, which is kept below
-2**31.
+2**31.  phi_lambda_arrays and coprime_part_array are the tests' oracle for
+phi0_lambda0_arrays; the library calls neither.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import _lambda_prime_power, as_index
+from .arith import as_index
 
 VECTOR_MOD_LIMIT = 1 << 32
 POWER_CAP = 1 << 63  # capped_power's ceiling
@@ -131,11 +132,11 @@ def _spf_runs(spf: np.ndarray):
 def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(phi, lam) as int32 arrays with phi[n] = Euler phi and lam[n] =
     universal exponent of the unit group mod n, for 0 <= n <= hi < 2**31 - 1
-    (index 0 is set to 0).
+    (index 0 is set to 0).  The tests' oracle; no lambda rule is shared with arith.
 
     One pass of _spf_runs: phi(n) = phi(m) * p if p | m, else phi(m) * (p-1);
-    lam(n) = lcm(lam(rest), lam(pe)), with lam(p) = p - 1 and lam(p**k) for
-    k >= 2 from arith._lambda_prime_power."""
+    lam(n) = lcm(lam(rest), lam(pe)) with lam(pe) = phi(pe), halved for pe =
+    2**k >= 8; phi[pe] is final when read (pe = n, or an earlier chunk)."""
     hi = as_index(hi, "hi")
     spf = spf_window(hi + 1)
     phi = np.zeros(hi + 1, dtype=np.int32)
@@ -143,13 +144,9 @@ def phi_lambda_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
     phi[1:2] = lam[1:2] = 1
     for sl, p, m, pe, rest in _spf_runs(spf):
         phi[sl] = phi[m] * np.where(pe > p, p, p - 1)
-        lam[sl] = p - 1
-        for i in np.flatnonzero((rest == 1) & (pe > p)).tolist():
-            q, k, n = int(p[i]), 1, sl.start + i
-            while q**k < n:
-                k += 1
-            lam[n] = _lambda_prime_power(q, k)
-        lam[sl] = np.lcm(lam[rest], lam[pe])  # lam(n) itself when rest == 1
+        lam_pe = phi[pe]
+        lam_pe[(p == 2) & (pe >= 8)] //= 2
+        lam[sl] = np.lcm(lam[rest], lam_pe)
     return phi, lam
 
 
@@ -190,11 +187,8 @@ def phi0_lambda0_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 def coprime_part_array(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Largest divisor of each x coprime to the matching b (every x, b >= 1).
-
-    The library no longer calls it: phi0_lambda0_arrays reads the parts of
-    phi(n) and lambda(n) prime to n off the smallest-prime recurrence, with
-    no gcd passes and no int64 temporaries.  It stays as the tests'
-    independent check of those arrays.
+    The tests' oracle: phi0_lambda0_arrays with gcd passes in place of the
+    smallest-prime recurrence.
 
     Each pass divides out g = gcd(x, b) and works only on the entries whose
     g was above 1.  The next g is gcd(x / g, g), which equals gcd(x / g, b):

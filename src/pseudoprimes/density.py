@@ -37,6 +37,10 @@ p - 1 is below p and so prime to b, which makes G_b the product of C_(p-1)
 Its numerators tau(lambda0) phi0 / lambda0 are at most phi0 < b, since
 tau(m) <= m, so they fit int32 and their long division fits int64.
 
+The whole Ordowski layer reads G_n, count_S too (through the exponents of
+G_s and G_t; see its docstring).  Only unit_order_counts, the census that
+G_b's listing is checked against, reads the full unit group.
+
 The union density of T_2 .. T_k is a walk over CRT coordinates.  Every
 class modulus is b**2*d with d | lambda0(b) < b, so its primes are at most
 k and each of its prime powers is at most k**2.  Let P be the lcm of the
@@ -100,6 +104,14 @@ _TAIL_CAP = 2 * 10**7
 # the unit group mod b and its order census
 
 
+def _check_b(b: int, name: str = "b") -> int:
+    """b, or the size called name, as an int >= 2."""
+    b = as_index(b, name)
+    if b < 2:
+        raise ValueError(f"{name} must be >= 2")
+    return b
+
+
 def _sylow_components(b: int) -> tuple[AbelianPGroup, ...]:
     """The p-components of the whole unit group mod b, ascending in p; only
     unit_order_counts reads them (G_b has its own listing, _gb_components).
@@ -139,8 +151,7 @@ def unit_order_counts(b: int) -> dict:
     The unit group is the product of its p-components G_p, so the number of
     units of order d is the product over p of group_order_count(v_p(d), G_p).
     No unit enumeration."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
+    b = _check_b(b)
     counts = {1: 1}
     for g in _sylow_components(b):
         counts = {
@@ -180,8 +191,7 @@ def sb_class_system(b: int) -> ClassSystem:
     (mod b), lambda0 the part of lambda(b) prime to b, found apart from
     _gb_components so each checks the other.  The class is n == b*a0 (mod b**2)
     and n == 1 mod ord(a0), one CRT step.  The point n = b (a = 1) is excluded."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
+    b = _check_b(b)
     if b > _CLASS_SYSTEM_CAP:
         raise CapacityError(f"sb_class_system capped at b <= {_CLASS_SYSTEM_CAP}")
     lam0 = coprime_part(carmichael_lambda(factor(b)), b)
@@ -196,9 +206,7 @@ def sb_class_system(b: int) -> ClassSystem:
 
 def sb_membership(n: int, b: int) -> bool:
     """n in T_b: b | n, a = n/b >= 2 coprime to b, and a**(n-1) == 1 (mod b)."""
-    n, b = as_index(n), as_index(b, "b")
-    if b < 2:
-        raise ValueError("b must be >= 2")
+    n, b = as_index(n), _check_b(b)
     if n % b != 0:
         return False
     a = n // b
@@ -210,8 +218,7 @@ def sb_membership(n: int, b: int) -> bool:
 def sb_density(b: int) -> Fraction:
     """Exact density N(G_b) / b**2 of T_b, as one fraction: N(G_b) is the
     product over the q-components of _n_numerator / q**lambda."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
+    b = _check_b(b)
     f = factor(b)
     num = den = 1
     for q, ls in _gb_components(f):
@@ -234,9 +241,7 @@ def union_density(k: int) -> Fraction:
     i + 1.  A live class with no coordinate left fills the cell, and no
     live class leaves it empty.  Finitely many excluded points cannot move
     a density and are ignored."""
-    k = as_index(k, "k")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _check_b(k, "k")
     if k > _UNION_CAP:
         raise CapacityError(f"union_density capped at k <= {_UNION_CAP}")
     classes = sorted({(c.m, c.r) for b in range(2, k + 1) for c in sb_class_system(b).classes})
@@ -266,9 +271,7 @@ def c1_partial(b_max: int) -> Fraction:
 
     The terms are added in a balanced tree, pairs of neighbours at each
     level, so most sums are of fractions with small denominators."""
-    b_max = as_index(b_max, "b_max")
-    if b_max < 2:
-        raise ValueError("b_max must be >= 2")
+    b_max = _check_b(b_max, "b_max")
     if b_max > _C1_CAP:
         raise CapacityError(f"c1_partial capped at b_max <= {_C1_CAP}")
     terms = [sb_density(b) for b in range(2, b_max + 1)]
@@ -300,21 +303,22 @@ def count_S(limit: int) -> tuple[int, int]:
     The scan enumerates divisor pairs n = s*t with s < t grouped by the
     smaller side s, keeps the t prime to s (built from the units mod s), and
     tests the base s modulo t and the base t modulo s, each pair once (s = t
-    is never coprime).  No factorization is needed; lambda comes from one
-    sieve to limit // 2.
+    is never coprime).  No factorization is needed.  One rule decides both
+    bases: no prime of s or t divides n - 1, so for x in {s, t} and
+    g = gcd(lambda0(x), n-1) = gcd(lambda(x), n-1), with lambda0(x) the
+    exponent of G_x, a unit y mod x has y**(n-1) == 1 (mod x) exactly when
+    y**g == 1 (mod x).  lambda0 comes from one bulk.phi0_lambda0_arrays pass
+    to limit // 2, the pass tail_bound runs.
 
-    Base s mod t: ord_t(s) divides lambda(t) and n-1, so it divides
-    g = gcd(lambda(t), n-1), and s**(n-1) == 1 (mod t) exactly when
-    s**g == 1 (mod t).  Then t divides s**g - 1 >= 1, so s**g >= t + 1: a
-    pair with s**g <= t is refuted before any power is taken mod t.  For the
-    rest, s**g mod t is read off s**g itself where it is below 2**63
+    Base s mod t: t divides s**g - 1 >= 1, so s**g >= t + 1: a pair with
+    s**g <= t is refuted before any power is taken mod t.  For the rest,
+    s**g mod t is read off s**g itself where it is below 2**63
     (bulk.capped_power), and is otherwise a power mod t with the exponent g.
 
-    Base t mod s: t is a unit mod s, so t**(n-1) mod s depends only on t mod
-    s and on the exponent n-1 = s*t - 1 mod lambda(s), that is on t mod
-    P = lcm(s, lambda(s)) (the class system of T_s).  The verdicts are taken
-    once over s < t <= min(s + P, limit // s), and every t reads the one at
-    (t - s - 1) mod P.
+    Base t mod s: t**g mod s depends only on t mod s and, through g, on
+    t mod lambda0(s), that is on t mod P = s * lambda0(s).  The verdicts are
+    taken once over s < t <= min(s + P, limit // s), and every t reads the
+    one at (t - s - 1) mod P.
     """
     limit = as_index(limit, "limit")
     if limit < 0:
@@ -323,22 +327,19 @@ def count_S(limit: int) -> tuple[int, int]:
         raise CapacityError(f"count_S capped at limit <= {_COUNT_CAP}")
     member = np.zeros(limit + 1, dtype=bool)
     total = 0
-    lam = bulk.phi_lambda_arrays(limit // 2)[1].view(np.uint32)
+    lam0 = bulk.phi0_lambda0_arrays(limit // 2)[1].view(np.uint32)
     for s in range(2, isqrt(limit) + 1):
         tmax = limit // s
-        units = np.ones(s, dtype=bool)
-        for p, _ in factor(s).factors:
-            units[::p] = False
-        units = np.flatnonzero(units).astype(np.uint32)
-        period = lcm(s, int(lam[s]))
+        units = np.flatnonzero(np.gcd(np.arange(s), s) == 1).astype(np.uint32)
+        period = s * int(lam0[s])
         t = _prime_to(s, units, s + 1, min(s + period, tmax) + 1)
-        e = (t * np.uint32(s) - np.uint32(1)) % lam[s]
+        g = np.gcd(t * np.uint32(s) - np.uint32(1), lam0[s])
         verdict = np.zeros(min(period, tmax - s), dtype=bool)
-        verdict[t - np.uint32(s + 1)] = bulk.powmod_vector(t, e, np.full(t.size, s)) == 1
+        verdict[t - np.uint32(s + 1)] = bulk.powmod_vector(t, g, np.full(t.size, s)) == 1
         for t0 in range(s + 1, tmax + 1, _T_CHUNK):
             t = _prime_to(s, units, t0, min(t0 + _T_CHUNK, tmax + 1))
             n = t * np.uint32(s)
-            g = np.gcd(lam[t], n - np.uint32(1))
+            g = np.gcd(lam0[t], n - np.uint32(1))
             power = bulk.capped_power(s, g)
             live = np.flatnonzero(power > t)  # s**g <= t refutes
             power, tl = power[live], t[live]
@@ -360,10 +361,8 @@ def tail_bound_term(b: int) -> Fraction:
     """The per-b bound tau(lambda0(b)) * phi0(b) / (lambda0(b) * b**2),
     an upper bound for delta(T_b); lambda0 and phi0 are the exponent and the
     order of G_b."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    f = factor(b)
-    return Fraction(_order_bound(_gb_components(f)), f.value**2)
+    b = _check_b(b)
+    return Fraction(_order_bound(_gb_components(factor(b))), b * b)
 
 
 def tail_bound(b_lo: int, b_hi: int) -> Fraction:
@@ -417,8 +416,7 @@ def is_imprimitive(b: int) -> int | None:
     """Least b0 with b = a0*b0, a0, b0 >= 2 and a0 == 1 (mod b0), if any.
 
     The condition is sufficient for T_b to sit inside T_b0, not necessary."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
+    b = _check_b(b)
     for b0 in divisors(factor(b))[1:-1]:
         a0 = b // b0
         if a0 >= 2 and a0 % b0 == 1:
@@ -462,6 +460,8 @@ def group_order_count(j: int, g: AbelianPGroup) -> int:
     """
     if not isinstance(j, (int, np.integer)) or j < 0:
         raise ValueError("j must be an integer >= 0")
+    if not isinstance(g, AbelianPGroup):
+        raise ValueError("g must be an AbelianPGroup")
     if j == 0:
         return 1
     return _dividing(g.p, g.lambdas, j) - _dividing(g.p, g.lambdas, j - 1)
@@ -482,6 +482,8 @@ def _n_numerator(p: int, lambdas) -> int:
 def group_N(g: AbelianPGroup) -> Fraction:
     """N(g) = sum over j of N(p**j, g) / p**j, as one fraction over the
     common denominator p**lambda."""
+    if not isinstance(g, AbelianPGroup):
+        raise ValueError("g must be an AbelianPGroup")
     return Fraction(_n_numerator(g.p, g.lambdas), g.p ** g.lambdas[-1])
 
 

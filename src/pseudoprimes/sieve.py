@@ -613,6 +613,7 @@ def format_fraction(num: int, den: int) -> str:
     """Exact fixed-point rendering of num/den to _PLACES decimals,
     round-half-even; den = 0 renders as zero (an empty table) and den < 0 is
     a ValueError."""
+    num, den = as_index(num, "num"), as_index(den, "den")
     if den < 0:
         raise ValueError("den must be >= 0")
     if den == 0:

@@ -2,7 +2,7 @@
 densities, countings, tail bounds, and the abelian-group order inequalities."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -168,6 +168,12 @@ def test_density_functions_take_integers_only():
                  lambda: pp.is_imprimitive(10.0), lambda: pp.sb_density(Fraction(12))):
         with pytest.raises(ValueError):
             call()
+    # b passes as_index before its range check, so a string or None is no TypeError
+    for bad in ("7", None):
+        for call in (pp.sb_density, pp.sb_class_system, pp.unit_order_counts,
+                     pp.tail_bound_term, pp.is_imprimitive, lambda b: pp.sb_membership(14, b)):
+            with pytest.raises(ValueError, match="b must be an integer"):
+                call(bad)
 
 
 @pytest.mark.parametrize("call", [
@@ -300,6 +306,23 @@ def test_count_S_small_table_rows():
     assert pp.count_S(10**2) == (52, 61)
     assert pp.count_S(10**3) == (591, 822)
     assert pp.count_S(10**5) == (62389, 92383)
+
+
+def test_gcd_with_n_minus_1_reads_lambda0():
+    # count_S's lemma: for coprime s, t and n = s*t, no prime of s or t
+    # divides n - 1, so gcd(lambda(x), n - 1) = gcd(lambda0(x), n - 1)
+    # for x in {s, t}
+    hi = 2 * 10**4
+    lam = bulk.phi_lambda_arrays(hi)[1].tolist()
+    lam0 = bulk.phi0_lambda0_arrays(hi)[1].tolist()
+    pairs = 0
+    for s in range(2, isqrt(hi) + 1):
+        for t in range(s + 1, hi // s + 1):
+            if gcd(s, t) == 1:
+                pairs += 1
+                for x in (s, t):
+                    assert gcd(lam[x], s * t - 1) == gcd(lam0[x], s * t - 1), (s, t, x)
+    assert pairs > 10**4
 
 
 def test_count_S_guard():
@@ -451,6 +474,15 @@ def test_group_validation():
                  lambda: pp.check_group_bounds([1])):
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pp.group_N("x"),
+    lambda: pp.group_order_count(1, "x"),
+], ids=["group_N", "group_order_count"])
+def test_group_functions_take_groups_only(call):
+    with pytest.raises(ValueError, match="g must be an AbelianPGroup"):
+        call()
 
 
 def test_group_counts_match_enumeration_exhaustive():

@@ -1,7 +1,8 @@
 """The package's modules import one another in fixed layers: each module
 reads only modules of a lower layer, so the import graph has no cycle; the
-test oracles share no kernel with the library above `arith`; and every name
-the benchmark's tracer wraps still exists where it looks."""
+test oracles share no kernel with the library above `arith`; the kernels kept
+as the tests' oracles have no caller in the library; and every name the
+benchmark's tracer wraps still exists where it looks."""
 
 import ast
 import importlib.util
@@ -68,6 +69,37 @@ def test_modules_import_only_lower_layers():
     for module, layer in LAYER.items():
         for imported in _package_imports(SRC / f"{module}.py"):
             assert LAYER[imported] < layer, (module, imported)
+
+
+# kernels kept only as the tests' oracles for the arrays the library reads
+ORACLE_ONLY = {"phi_lambda_arrays", "coprime_part_array"}
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name the file at `path` reads or imports: bare names, attribute
+    names and imported names.  A def's own name is none of these."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_oracle_only_kernels_have_no_library_caller():
+    for path in SRC.glob("*.py"):
+        assert not _names_read(path) & ORACLE_ONLY, path.name
+
+
+def test_bulk_takes_only_as_index_from_arith():
+    # the phi/lambda oracle shares no lambda(p**e) rule with carmichael_lambda
+    imported = {alias.name for node in ast.walk(ast.parse((SRC / "bulk.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "arith"
+                for alias in node.names}
+    assert imported == {"as_index"}
 
 
 def test_benchmark_traced_names_exist():

@@ -5,6 +5,7 @@ rendering."""
 import io
 import json
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -480,11 +481,18 @@ def test_tables_reject_bad_base_and_modulus_up_front():
     lambda: arith.multiplicative_order(2, 7.0),
     lambda: arith.is_prime(7.5),
     lambda: arith.jacobi(2.5, 7),
+    lambda: arith.euler_phi(1.0),
+    lambda: arith.tau(1.0),
+    lambda: arith.carmichael_lambda(Fraction(1)),
+    lambda: pp.F(1.0),
+    lambda: pp.D(1.0),
+    lambda: pp.is_carmichael(1.0),
 ], ids=["psp_values", "enumerate_even_psp", "iter_psp_values", "count_psp_table_m",
         "count_psp_table_limit", "count_psp_in_classes", "count_psp_in_classes_segment",
         "scan_empty_classes", "class_conditions", "ingest_psp_list", "ResidueClass",
         "is_fermat_psp", "psp_criterion", "powmod", "coprime_part", "multiplicative_order",
-        "is_prime", "jacobi"])
+        "is_prime", "jacobi", "euler_phi", "tau", "carmichael_lambda", "F", "D",
+        "is_carmichael"])
 def test_sizes_must_be_integers(call):
     # the scan, Fermat and arith twin of test_density's check
     with pytest.raises(ValueError, match="must be an integer"):
@@ -558,6 +566,12 @@ def test_emit_json_mirrors_csv_counts():
         assert row["class"] == int(cells[2])
         assert row["count"] == int(cells[4])
         assert row["empty_predicted"] == (cells[5] == "true")
+
+
+@pytest.mark.parametrize("num", ["1", 1.5], ids=["str", "float"])
+def test_format_fraction_takes_integers_only(num):
+    with pytest.raises(ValueError, match="num must be an integer"):
+        pp.format_fraction(num, 2)
 
 
 def test_format_fraction_round_half_even():
