@@ -30,14 +30,10 @@ _SMALL_PRIMES = (
 
 def powmod(base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus with exact intermediates."""
-    base, exponent = as_index(base, "base"), as_index(exponent, "exponent")
-    modulus = as_index(modulus, "modulus")
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
+    base, exponent = as_index(base, "base", 0), as_index(exponent, "exponent", 0)
+    modulus = as_index(modulus, "modulus", 1)
     if modulus >= INT_DOMAIN:
         raise ValueError("modulus out of the supported 63-bit domain")
-    if base < 0 or exponent < 0:
-        raise ValueError("base and exponent must be nonnegative")
     return pow(base, exponent, modulus)
 
 
@@ -87,14 +83,14 @@ class Factorization:
         for p, e in self.factors:
             if p <= prev:
                 raise ValueError("primes must be strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
+            e = as_index(e, "exponents", 1)
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
             prod *= p**e
-        if prod != self.value:
+        if prod != as_index(self.value, "value"):
             raise ValueError("factors do not multiply back to value")
+
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle variant)."""
@@ -120,13 +116,17 @@ def _pollard_rho(n: int) -> int:
         c += 1  # rare cycle failure: restart with a new polynomial
 
 
-def as_index(n, name: str = "n") -> int:
+def as_index(n, name: str = "n", lo: int | None = None) -> int:
     """n as a Python int through operator.index, so an int or a numpy
-    integer passes and a float, Fraction or string is a ValueError."""
+    integer passes and a float, Fraction or string is a ValueError, as is
+    n < lo.  Every size the public API takes is checked here."""
     try:
-        return operator.index(n)
+        n = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
+    if lo is not None and n < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    return n
 
 
 def factor(n: int) -> Factorization:
@@ -134,9 +134,7 @@ def factor(n: int) -> Factorization:
 
     Every prime it lists is proved here, so the Factorization is built
     without re-proving them."""
-    n = as_index(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = as_index(n, "n", 2)
     if n >= INT_DOMAIN:
         raise ValueError("n out of the supported 63-bit domain")
     value = n
@@ -228,20 +226,22 @@ def multiplicative_order(
 
     Starts from lambda(n) and strips prime factors.  The factorization
     passed in may be of any multiple of the order, so callers doing bulk
-    work over one modulus can factor one such multiple once.
+    work over one modulus can factor one such multiple once; one pow checks
+    that its value v has a**v == 1 mod n.
     """
-    a, n = as_index(a, "a"), as_index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    a, n = as_index(a, "a"), as_index(n, "n", 1)
     if gcd(a, n) != 1:
         raise ValueError("a and n must be coprime")
     if n == 1:
         return 1
     a %= n
-    if lambda_factorization is None:
-        lambda_factorization = as_factorization(carmichael_lambda(factor(n)))
-    d = lambda_factorization.value
-    for p, e in lambda_factorization.factors:
+    f = lambda_factorization
+    if f is None:
+        f = as_factorization(carmichael_lambda(factor(n)))
+    elif not isinstance(f, Factorization) or pow(a, f.value, n) != 1:
+        raise ValueError("lambda_factorization must factor a multiple of the order")
+    d = f.value
+    for p, e in f.factors:
         for _ in range(e):
             if pow(a, d // p, n) == 1:
                 d //= p
@@ -252,9 +252,7 @@ def multiplicative_order(
 
 def coprime_part(n: int, a: int) -> int:
     """Largest divisor of n coprime to a (n >= 1, a >= 1)."""
-    n, a = as_index(n), as_index(a, "a")
-    if n < 1 or a < 1:
-        raise ValueError("n and a must be >= 1")
+    n, a = as_index(n, "n", 1), as_index(a, "a", 1)
     while True:
         g = gcd(n, a)
         if g == 1:

@@ -89,8 +89,7 @@ from .errors import CapacityError
 from .sieve import ResidueClass
 
 TAIL_SCALE = 10**18
-_TAIL_STEPS = (10**4,) * 4 + (10**2,)  # long-division steps; product TAIL_SCALE
-_TAIL_BLOCK = 1 << 16  # values of b per block of the long division
+_TAIL_BLOCK = 1 << 16  # values of b per block of the floor sum
 
 _CLASS_SYSTEM_CAP = 10**5
 _UNION_CAP = 30  # kept on purpose: raising it changes what test_union_density_guard pins
@@ -102,14 +101,6 @@ _TAIL_CAP = 2 * 10**7
 
 # ---------------------------------------------------------------------------
 # the unit group mod b and its order census
-
-
-def _check_b(b: int, name: str = "b") -> int:
-    """b, or the size called name, as an int >= 2."""
-    b = as_index(b, name)
-    if b < 2:
-        raise ValueError(f"{name} must be >= 2")
-    return b
 
 
 def _sylow_components(b: int) -> tuple[AbelianPGroup, ...]:
@@ -151,7 +142,7 @@ def unit_order_counts(b: int) -> dict:
     The unit group is the product of its p-components G_p, so the number of
     units of order d is the product over p of group_order_count(v_p(d), G_p).
     No unit enumeration."""
-    b = _check_b(b)
+    b = as_index(b, "b", 2)
     counts = {1: 1}
     for g in _sylow_components(b):
         counts = {
@@ -191,7 +182,7 @@ def sb_class_system(b: int) -> ClassSystem:
     (mod b), lambda0 the part of lambda(b) prime to b, found apart from
     _gb_components so each checks the other.  The class is n == b*a0 (mod b**2)
     and n == 1 mod ord(a0), one CRT step.  The point n = b (a = 1) is excluded."""
-    b = _check_b(b)
+    b = as_index(b, "b", 2)
     if b > _CLASS_SYSTEM_CAP:
         raise CapacityError(f"sb_class_system capped at b <= {_CLASS_SYSTEM_CAP}")
     lam0 = coprime_part(carmichael_lambda(factor(b)), b)
@@ -206,7 +197,7 @@ def sb_class_system(b: int) -> ClassSystem:
 
 def sb_membership(n: int, b: int) -> bool:
     """n in T_b: b | n, a = n/b >= 2 coprime to b, and a**(n-1) == 1 (mod b)."""
-    n, b = as_index(n), _check_b(b)
+    n, b = as_index(n), as_index(b, "b", 2)
     if n % b != 0:
         return False
     a = n // b
@@ -218,7 +209,7 @@ def sb_membership(n: int, b: int) -> bool:
 def sb_density(b: int) -> Fraction:
     """Exact density N(G_b) / b**2 of T_b, as one fraction: N(G_b) is the
     product over the q-components of _n_numerator / q**lambda."""
-    b = _check_b(b)
+    b = as_index(b, "b", 2)
     f = factor(b)
     num = den = 1
     for q, ls in _gb_components(f):
@@ -241,7 +232,7 @@ def union_density(k: int) -> Fraction:
     i + 1.  A live class with no coordinate left fills the cell, and no
     live class leaves it empty.  Finitely many excluded points cannot move
     a density and are ignored."""
-    k = _check_b(k, "k")
+    k = as_index(k, "k", 2)
     if k > _UNION_CAP:
         raise CapacityError(f"union_density capped at k <= {_UNION_CAP}")
     classes = sorted({(c.m, c.r) for b in range(2, k + 1) for c in sb_class_system(b).classes})
@@ -271,7 +262,7 @@ def c1_partial(b_max: int) -> Fraction:
 
     The terms are added in a balanced tree, pairs of neighbours at each
     level, so most sums are of fractions with small denominators."""
-    b_max = _check_b(b_max, "b_max")
+    b_max = as_index(b_max, "b_max", 2)
     if b_max > _C1_CAP:
         raise CapacityError(f"c1_partial capped at b_max <= {_C1_CAP}")
     terms = [sb_density(b) for b in range(2, b_max + 1)]
@@ -320,9 +311,7 @@ def count_S(limit: int) -> tuple[int, int]:
     taken once over s < t <= min(s + P, limit // s), and every t reads the
     one at (t - s - 1) mod P.
     """
-    limit = as_index(limit, "limit")
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
+    limit = as_index(limit, "limit", 0)
     if limit > _COUNT_CAP:
         raise CapacityError(f"count_S capped at limit <= {_COUNT_CAP}")
     member = np.zeros(limit + 1, dtype=bool)
@@ -361,7 +350,7 @@ def tail_bound_term(b: int) -> Fraction:
     """The per-b bound tau(lambda0(b)) * phi0(b) / (lambda0(b) * b**2),
     an upper bound for delta(T_b); lambda0 and phi0 are the exponent and the
     order of G_b."""
-    b = _check_b(b)
+    b = as_index(b, "b", 2)
     return Fraction(_order_bound(_gb_components(factor(b))), b * b)
 
 
@@ -379,12 +368,11 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     prime of p - 1 divides b.  Each term is num / b**2 with the integer
     num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m, num <= phi0 < b,
     so num is formed in int32 with no overflow.  Its floor at scale 10**18
-    is found by long division in int64 over blocks of _TAIL_BLOCK values of
-    b: the remainder stays below b**2 <= 4 * 10**14 and is multiplied by at
-    most 10**4 per step, so no value reaches 4 * 10**18 < 2**63.  The digits
-    of one step are summed over the block (each column sum is below
-    10**4 * _TAIL_BLOCK) and the block's columns are combined in a Python
-    int, so the total cannot wrap.
+    is two integer divisions by b: with num * 10**9 = q*b + r,
+    floor(10**18 * num / b**2) = (q * 10**9 + r * 10**9 // b) // b, and no
+    value there reaches 10**18 + 10**9 < 2**63.  A term is below 10**18 / b
+    and b >= 3, so the terms of a block of _TAIL_BLOCK values of b sum below
+    1.04 * 10**19 < 2**64 in uint64, and the blocks add in a Python int.
     """
     b_lo, b_hi = as_index(b_lo, "b_lo"), as_index(b_hi, "b_hi")
     if not 2 <= b_lo < b_hi:
@@ -396,15 +384,12 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     num = bulk.tau_array(lam0) * (phi0 // lam0)  # num <= phi0 < b
     del phi0, lam0
     acc = 0
+    e9 = np.uint64(10**9)
     for start in range(0, num.size, _TAIL_BLOCK):
-        rem = num[start : start + _TAIL_BLOCK].astype(np.int64)
-        b = np.arange(b_lo + 1 + start, b_lo + 1 + start + rem.size, dtype=np.int64)
-        den = b * b
-        block = 0
-        for step in _TAIL_STEPS:
-            digits, rem = np.divmod(rem * step, den)
-            block = block * step + int(digits.sum())
-        acc += block
+        x = num[start : start + _TAIL_BLOCK].astype(np.uint64) * e9
+        b = np.arange(b_lo + 1 + start, b_lo + 1 + start + x.size, dtype=np.uint64)
+        q, r = np.divmod(x, b)
+        acc += int(((q * e9 + r * e9 // b) // b).sum(dtype=np.uint64))
     return Fraction(acc, TAIL_SCALE)
 
 
@@ -416,7 +401,7 @@ def is_imprimitive(b: int) -> int | None:
     """Least b0 with b = a0*b0, a0, b0 >= 2 and a0 == 1 (mod b0), if any.
 
     The condition is sufficient for T_b to sit inside T_b0, not necessary."""
-    b = _check_b(b)
+    b = as_index(b, "b", 2)
     for b0 in divisors(factor(b))[1:-1]:
         a0 = b // b0
         if a0 >= 2 and a0 % b0 == 1:
@@ -436,13 +421,15 @@ class AbelianPGroup:
     lambdas: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(isinstance(x, (int, np.integer)) for x in (self.p, *self.lambdas)):
-            raise ValueError("p and lambdas must be integers")
-        if not is_prime(self.p):
+        if not is_prime(as_index(self.p, "p")):
             raise ValueError("p must be prime")
-        if not self.lambdas:
+        try:
+            lambdas = [as_index(x, "lambda", 1) for x in self.lambdas]
+        except TypeError:  # lambdas is not iterable
+            raise ValueError("lambdas must be a nondecreasing list of positive integers") from None
+        if not lambdas:
             raise ValueError("need at least one cyclic factor")
-        if any(l < 1 for l in self.lambdas) or list(self.lambdas) != sorted(self.lambdas):
+        if lambdas != sorted(lambdas):
             raise ValueError("lambdas must be a nondecreasing list of positive integers")
 
 
@@ -458,8 +445,7 @@ def group_order_count(j: int, g: AbelianPGroup) -> int:
     For j >= 1 this is prod(min(p**j, p**li)) - prod(min(p**(j-1), p**li));
     j = 0 counts the identity and j beyond the exponent gives 0.
     """
-    if not isinstance(j, (int, np.integer)) or j < 0:
-        raise ValueError("j must be an integer >= 0")
+    j = as_index(j, "j", 0)
     if not isinstance(g, AbelianPGroup):
         raise ValueError("g must be an AbelianPGroup")
     if j == 0:
@@ -520,7 +506,10 @@ def check_group_bounds(groups) -> GroupBoundReport:
     multiplicative over components."""
     if isinstance(groups, AbelianPGroup):
         groups = (groups,)
-    components = tuple(groups)
+    try:
+        components = tuple(groups)
+    except TypeError:  # groups is not iterable
+        components = ()
     if not components or not all(isinstance(g, AbelianPGroup) for g in components):
         raise ValueError("need one or more AbelianPGroup components")
     primes = [g.p for g in components]

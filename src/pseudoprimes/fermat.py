@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import (
+    INT_DOMAIN,
     Factorization,
     as_factorization,
     as_index,
@@ -38,17 +39,9 @@ class PspVerdict:
         return self.passes_congruence and self.is_composite
 
 
-def _check_n_base(n: int, a: int) -> tuple[int, int]:
-    """n and a as ints, both >= 2."""
-    n, a = as_index(n), as_index(a, "a")
-    if n < 2 or a < 2:
-        raise ValueError("need n >= 2 and a >= 2")
-    return n, a
-
-
 def is_fermat_psp(n: int, a: int) -> PspVerdict:
     """Test a**n == a (mod n) and compositeness of n (n >= 2, a >= 2)."""
-    n, a = _check_n_base(n, a)
+    n, a = as_index(n, "n", 2), as_index(a, "a", 2)
     passes = powmod(a, n, n) == a % n
     return PspVerdict(n, a, passes, not is_prime(n))
 
@@ -56,8 +49,11 @@ def is_fermat_psp(n: int, a: int) -> PspVerdict:
 def psp_criterion(n: int, a: int) -> bool:
     """Structural form of the Fermat congruence: with n_a the largest divisor
     of n coprime to a, requires ord_a mod n_a to divide n-1 and n/n_a to
-    divide a.  Equivalent to a**n == a (mod n)."""
-    n, a = _check_n_base(n, a)
+    divide a.  Equivalent to a**n == a (mod n), on the same domain
+    2 <= n < 2**63, a >= 2."""
+    n, a = as_index(n, "n", 2), as_index(a, "a", 2)
+    if n >= INT_DOMAIN:
+        raise ValueError("n out of the supported 63-bit domain")
     n_a = coprime_part(n, a)
     if a % (n // n_a) != 0:
         return False

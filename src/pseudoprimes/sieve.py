@@ -214,9 +214,7 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
 def _check_base_modulus(a: int, m: int = 1) -> tuple[int, int]:
     """a and m as ints; reject a base outside [2, 2**63), the integer domain
     of arith, or a modulus < 1."""
-    a, m = as_index(a, "base"), as_index(m, "modulus")
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    a, m = as_index(a, "base"), as_index(m, "modulus", 1)
     if not 2 <= a < INT_DOMAIN:
         raise ValueError("base must lie in [2, 2**63)")
     return a, m
@@ -229,14 +227,6 @@ def _check_table(a: int, m: int) -> tuple[int, int]:
     if m > _TABLE_MOD_CAP:
         raise CapacityError(f"count tables are capped at modulus <= {_TABLE_MOD_CAP}")
     return a, m
-
-
-def _check_limit(limit: int) -> int:
-    """limit as an int >= 0."""
-    limit = as_index(limit, "limit")
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    return limit
 
 
 def _check_capacity(hi: int) -> None:
@@ -380,7 +370,7 @@ def _psp_array(a: int, lo: int, hi: int) -> np.ndarray:
 
 def psp_values(a: int, limit: int) -> np.ndarray:
     """All base-a pseudoprimes <= limit as one ascending uint64 array."""
-    limit = _check_limit(limit)
+    limit = as_index(limit, "limit", 0)
     return _psp_array(a, 2, max(2, limit + 1))
 
 
@@ -388,8 +378,16 @@ def psp_values(a: int, limit: int) -> np.ndarray:
 # count tables
 
 
+def _limits(limits) -> tuple[int, ...]:
+    """The distinct limits, ascending, each an int >= 0."""
+    try:
+        return tuple(sorted({as_index(x, "limit", 0) for x in limits}))
+    except TypeError:  # limits is not iterable
+        raise ValueError("limits must be an iterable of integers") from None
+
+
 def _normalize_coverage(segments) -> tuple[tuple[int, int], ...]:
-    segs = [(int(lo), int(hi)) for lo, hi in segments]
+    segs = [(as_index(lo, "segment", 0), as_index(hi, "segment", 0)) for lo, hi in segments]
     if any(lo > hi for lo, hi in segs):
         raise ValueError("segment with lo > hi")
     merged: list[list[int]] = []
@@ -421,9 +419,14 @@ class CountTable:
     @classmethod
     def from_values(cls, base, modulus, limits, values, coverage) -> "CountTable":
         base, modulus = _check_table(base, modulus)
-        limits = tuple(sorted({as_index(x, "limit") for x in limits}))
+        limits = _limits(limits)
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+            values = np.asarray(values, object).ravel()  # not float64 for [-1, 2**63]
+            values = np.array([as_index(v, "value") for v in values], object)
+        if values.size and not 0 <= values.min() <= values.max() < 1 << 64:
+            raise ValueError("values must lie in [0, 2**64)")
+        values = values.astype(np.uint64)
         counts: dict = {}
-        values = np.asarray(values, dtype=np.uint64)
         for lim in limits:
             kept = values[values <= np.uint64(lim)]
             tally = np.bincount((kept % np.uint64(modulus)).astype(np.int64), minlength=modulus)
@@ -443,7 +446,8 @@ class CountTable:
 
     def count(self, r: int, limit: int | None = None) -> int:
         limit = self._limit(limit)
-        if not isinstance(r, (int, np.integer)) or not 0 <= r < self.modulus:
+        r = as_index(r, "class", 0)
+        if r >= self.modulus:
             raise ValueError(f"class {r} is not an integer in [0, {self.modulus})")
         return self.counts.get((r, limit), 0)
 
@@ -467,7 +471,7 @@ def count_psp_in_classes(
     """Count base-a pseudoprimes n <= limit per class n mod m over one
     half-open segment (default: all of [2, limit+1))."""
     a, m = _check_table(a, m)
-    limit = _check_limit(limit)
+    limit = as_index(limit, "limit", 0)
     top = max(2, limit + 1)
     lo, hi = (2, top) if segment is None else (as_index(x, "segment") for x in segment)
     if not 2 <= lo <= hi <= top:
@@ -479,7 +483,7 @@ def count_psp_table(a: int, m: int, limits) -> CountTable:
     """Full count table of base-a pseudoprimes per class mod m at several
     limits, from one scan up to the largest."""
     a, m = _check_table(a, m)
-    limits = sorted(_check_limit(x) for x in limits)
+    limits = _limits(limits)
     if not limits:
         raise ValueError("need at least one limit")
     top = limits[-1]
@@ -502,7 +506,7 @@ def enumerate_even_psp(limit: int) -> list[int]:
     n = 2q with q prime gives g = 1 and is refuted untested.  limit >= 2**63
     raises CapacityError.
     """
-    limit = _check_limit(limit)
+    limit = as_index(limit, "limit", 0)
     _check_capacity(limit + 1)
     return [n for part in _scan(2, 4, limit + 1, 16, (2, 14)) for n in part.tolist()]
 
@@ -522,9 +526,7 @@ def scan_empty_classes(a: int, max_mod: int, limit: int) -> list[EmptyClass]:
     """Every class r mod m (2 <= m <= max_mod) with no base-a pseudoprime
     <= limit, annotated with whether the admissibility conditions refute it.
     max_mod > _SCAN_MOD_CAP raises CapacityError before the scan."""
-    max_mod = as_index(max_mod, "max_mod")
-    if max_mod < 2:
-        raise ValueError("max_mod must be >= 2")
+    max_mod = as_index(max_mod, "max_mod", 2)
     if max_mod > _SCAN_MOD_CAP:
         raise CapacityError(f"empty-class scans are capped at max_mod <= {_SCAN_MOD_CAP}")
     values = psp_values(a, limit)
@@ -590,6 +592,8 @@ def _ingest_lines(chunk, start: int, m: int, tally: np.ndarray, top: int) -> int
     is line `start`: raise on the first bad line, else tally every line and
     return the new top value."""
     for lineno, raw in enumerate(chunk, start=start):
+        if not isinstance(raw, str):
+            raise InputFormatError(f"line {lineno}: not a text line: {raw!r}")
         try:
             value = int(raw)  # int() also takes a sign, 5_61 and non-ASCII digits
         except ValueError:
@@ -613,9 +617,7 @@ def format_fraction(num: int, den: int) -> str:
     """Exact fixed-point rendering of num/den to _PLACES decimals,
     round-half-even; den = 0 renders as zero (an empty table) and den < 0 is
     a ValueError."""
-    num, den = as_index(num, "num"), as_index(den, "den")
-    if den < 0:
-        raise ValueError("den must be >= 0")
+    num, den = as_index(num, "num"), as_index(den, "den", 0)
     if den == 0:
         num, den = 0, 1
     scale = 10**_PLACES

@@ -179,6 +179,10 @@ def test_factorization_invariants_enforced():
         pp.Factorization(8, ((2, 2),))  # wrong product
     with pytest.raises(ValueError):
         pp.Factorization(4, ((4, 1),))  # 4 is not prime
+    with pytest.raises(ValueError):
+        pp.Factorization(6, ((2, 1), (3, 1.0)))  # exponents are integers
+    with pytest.raises(ValueError):
+        pp.Factorization(6.0, ((2, 1), (3, 1)))  # and so is the value
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +390,14 @@ def test_order_examples():
 def test_order_requires_coprimality():
     with pytest.raises(ValueError):
         pp.multiplicative_order(6, 9)
+
+
+def test_order_checks_its_lambda_factorization():
+    # any multiple of the order serves; 5 is none for 2 mod 7, whose order is 3
+    assert pp.multiplicative_order(2, 7, pp.factor(6)) == 3
+    for bad in (5, pp.factor(5)):
+        with pytest.raises(ValueError):
+            pp.multiplicative_order(2, 7, bad)
 
 
 def test_order_divides_lambda_and_attains_it():

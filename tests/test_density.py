@@ -471,7 +471,10 @@ def test_group_validation():
     # non-integer exponents and non-group components
     for call in (lambda: pp.AbelianPGroup(2, (1.5,)),
                  lambda: pp.group_order_count(1.5, pp.AbelianPGroup(3, (1, 2))),
-                 lambda: pp.check_group_bounds([1])):
+                 lambda: pp.check_group_bounds([1]),
+                 lambda: pp.AbelianPGroup(2, 1),
+                 lambda: pp.check_group_bounds(5),
+                 lambda: pp.check_group_bounds(None)):
         with pytest.raises(ValueError):
             call()
 

@@ -3,6 +3,8 @@
 import random
 from math import gcd
 
+import pytest
+
 import oracles
 import pseudoprimes as pp
 
@@ -33,6 +35,15 @@ def test_criterion_equals_congruence_to_1e4():
             assert pp.is_fermat_psp(n, a).is_pseudoprime == (
                 pp.psp_criterion(n, a) and composite
             )
+
+
+def test_predicates_share_the_63_bit_domain():
+    n = 2**63 - 1
+    assert pp.psp_criterion(n, 2) == pp.is_fermat_psp(n, 2).passes_congruence
+    for predicate in (pp.is_fermat_psp, pp.psp_criterion):
+        for n, a in ((2**63, 2), (2**70, 2), (1, 2), (341, 1)):
+            with pytest.raises(ValueError):
+                predicate(n, a)
 
 
 def test_F_and_F_star_examples():

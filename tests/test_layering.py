@@ -109,3 +109,26 @@ def test_benchmark_traced_names_exist():
     for owner, attr, *_ in spans.LAYERS:
         assert attr in vars(owner), (owner, attr)
     assert hasattr(sieve.JacobiCondition, "UNKNOWN")  # read by the class_conditions hook
+
+
+# the size checks that arith.as_index's lower bound replaced
+GONE_CHECKS = {"_check_limit", "_check_b", "_check_n_base"}
+
+
+def test_size_floors_are_checked_only_in_as_index():
+    # every "x must be >= lo" message comes from arith.as_index, so a
+    # hand-written floor check cannot drift back in
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not (defs | _names_read(path)) & GONE_CHECKS, path.name
+        allowed = set()
+        if path.stem == "arith":
+            as_index = next(node for node in tree.body
+                            if isinstance(node, ast.FunctionDef) and node.name == "as_index")
+            allowed = {id(node) for node in ast.walk(as_index)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and id(node) not in allowed:
+                text = "".join(c.value for c in ast.walk(node)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                assert "must be >=" not in text, (path.name, node.lineno)

@@ -396,6 +396,9 @@ def test_ingest_rejects_garbage_with_line_number():
     for text in ("x41", "5_61", "+341", "-341", "\u0665\u0666\u0661", "3 41", ""):
         with pytest.raises(InputFormatError, match="line 2"):
             pp.ingest_psp_list(io.StringIO(f"341\n{text}\n"), 2)
+    # a byte stream's lines are not text, though int() would read them
+    with pytest.raises(InputFormatError, match="line 1"):
+        pp.ingest_psp_list(io.BytesIO(b"341\n"), 4)
 
 
 def test_ingest_rejects_descending():
@@ -463,6 +466,20 @@ def test_tables_reject_bad_base_and_modulus_up_front():
 
 
 @pytest.mark.parametrize("call", [
+    lambda: pp.CountTable.from_values(2, 4, [-10], [341], [(2, 11)]),
+    lambda: pp.CountTable.from_values(2, 4, [10], [-1], [(2, 11)]),
+    lambda: pp.CountTable.from_values(2, 4, [10], np.array([-1]), [(2, 11)]),
+    lambda: pp.CountTable.from_values(2, 4, [10], [-1, 2**63], [(2, 11)]),
+    lambda: pp.CountTable.from_values(2, 4, [10], [2**64], [(2, 11)]),
+    lambda: pp.count_psp_table(2, 4, 5),
+], ids=["limit", "value", "int64_value", "mixed_values", "value_past_64_bits", "limits"])
+def test_tables_reject_bad_limits_and_values(call):
+    # a negative value, or one past 64 bits, is refused before any tally
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
     lambda: pp.psp_values(2, 1e3),
     lambda: pp.enumerate_even_psp(1e3),
     lambda: list(pp.iter_psp_values(2, 2.0, 100)),
@@ -473,6 +490,9 @@ def test_tables_reject_bad_base_and_modulus_up_front():
     lambda: pp.scan_empty_classes(2, 4.0, 100),
     lambda: pp.class_conditions(2.0, 1, 4),
     lambda: pp.ingest_psp_list(["341\n"], 4.0),
+    lambda: pp.CountTable.from_values(2, 4, [10], [3.5], [(2, 11)]),
+    lambda: pp.CountTable.from_values(2, 4, [10], [341], [(2.5, 3)]),
+    lambda: pp.count_psp_table(2, 4, [100]).count(1.5),
     lambda: pp.ResidueClass(1.5, 4),
     lambda: pp.is_fermat_psp(341.0, 2),
     lambda: pp.psp_criterion(341.0, 2),
@@ -489,7 +509,8 @@ def test_tables_reject_bad_base_and_modulus_up_front():
     lambda: pp.is_carmichael(1.0),
 ], ids=["psp_values", "enumerate_even_psp", "iter_psp_values", "count_psp_table_m",
         "count_psp_table_limit", "count_psp_in_classes", "count_psp_in_classes_segment",
-        "scan_empty_classes", "class_conditions", "ingest_psp_list", "ResidueClass",
+        "scan_empty_classes", "class_conditions", "ingest_psp_list", "from_values_value",
+        "from_values_coverage", "CountTable.count", "ResidueClass",
         "is_fermat_psp", "psp_criterion", "powmod", "coprime_part", "multiplicative_order",
         "is_prime", "jacobi", "euler_phi", "tau", "carmichael_lambda", "F", "D",
         "is_carmichael"])
