@@ -1,6 +1,7 @@
 """Vectorized bulk arithmetic: one composite sieve (which also lists the
 primes), a smallest-prime-factor array, elementwise modular exponentiation,
-a capped power table, and arrays of multiplicative functions and of the
+a capped power table, tables of the multiplicative order of every unit mod
+each small prime power, and arrays of multiplicative functions and of the
 order and exponent of G_n (the units mod n of order coprime to n).
 
 These back the residue-class counting and density modules.  The
@@ -94,6 +95,66 @@ def capped_power(a: int, g):
         powers[e] = p
         p, e = p * a, e + 1
     return powers[np.minimum(g, 63)]
+
+
+def _powers(g: int, count: int, q: int) -> np.ndarray:
+    """g**i % q for 0 <= i < count (count >= 1, 2 <= q < 2**32) as uint64,
+    by doubling: the first k powers times g**k fill [k, 2k)."""
+    pw = np.ones(count, dtype=np.uint64)
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        pw[k : k + m] = pw[:m] * np.uint64(pow(g, k, q)) % np.uint64(q)
+        k += m
+    return pw
+
+
+def _primitive_root(p: int, spf: np.ndarray) -> int:
+    """A generator of (Z/p**e)^* for every e >= 1, p an odd prime and spf a
+    smallest-prime array past p - 1: the least primitive root g mod p, or
+    g + p when g**(p-1) == 1 (mod p**2), as then g + p is a primitive root
+    mod p**2 and so mod every p**e."""
+    primes, m = [], p - 1  # the primes of p - 1
+    while m > 1:
+        primes.append(r := int(spf[m]))
+        while m % r == 0:
+            m //= r
+    g = 2
+    while any(pow(g, (p - 1) // r, p) == 1 for r in primes):
+        g += 1
+    return g + p if pow(g, p - 1, p * p) == 1 else g
+
+
+def unit_order_tables(spf: np.ndarray) -> dict[int, np.ndarray]:
+    """{q: orders} for every prime power q < spf.size, spf a spf_window
+    array: orders[x] is the multiplicative order of x mod q for every unit x
+    and 0 for the rest, as uint32 of length q.
+
+    Every order comes from a discrete log.  For odd p, (Z/q)^* is cyclic of
+    order phi = phi(q), generated by g = _primitive_root(p), and ord(g**i) =
+    phi / gcd(i, phi).  For q = 2**e the units are +-5**i with i < h =
+    max(q // 4, 1), ord(5**i) = h / gcd(i, h) and ord(-5**i) =
+    max(ord(5**i), 2) for q >= 4; mod 2, -1 is 1, whose entry is written last.
+    """
+    hi = spf.size
+    tables = {}
+    for p in (np.flatnonzero(spf[2:] == np.arange(2, hi)) + 2).tolist():
+        g = 5 if p == 2 else _primitive_root(p, spf)
+        q = p
+        while q < hi:
+            orders = np.zeros(q, dtype=np.uint32)
+            if p == 2:
+                h = max(q // 4, 1)
+                x = _powers(g, h, q)
+                d = h // np.gcd(np.arange(h), h)
+                orders[(q - x) % q] = np.maximum(d, 2)
+                orders[x] = d
+            else:
+                phi = q // p * (p - 1)
+                orders[_powers(g, phi, q)] = phi // np.gcd(np.arange(phi), phi)
+            tables[q] = orders
+            q *= p
+    return tables
 
 
 def composite_flags(hi: int, base_primes: np.ndarray) -> np.ndarray:

@@ -37,9 +37,10 @@ p - 1 is below p and so prime to b, which makes G_b the product of C_(p-1)
 Its numerators tau(lambda0) phi0 / lambda0 are at most phi0 < b, since
 tau(m) <= m, so they fit int32 and their long division fits int64.
 
-The whole Ordowski layer reads G_n, count_S too (through the exponents of
-G_s and G_t; see its docstring).  Only unit_order_counts, the census that
-G_b's listing is checked against, reads the full unit group.
+The whole Ordowski layer reads G_n, count_S too for the base s mod t
+(through the exponent of G_t; see its docstring).  Only count_S's base t
+mod s, read off the order of each unit mod s, and unit_order_counts, the
+census that G_b's listing is checked against, read the full unit group.
 
 The union density of T_2 .. T_k is a walk over CRT coordinates.  Every
 class modulus is b**2*d with d | lambda0(b) < b, so its primes are at most
@@ -294,22 +295,25 @@ def count_S(limit: int) -> tuple[int, int]:
     The scan enumerates divisor pairs n = s*t with s < t grouped by the
     smaller side s, keeps the t prime to s (built from the units mod s), and
     tests the base s modulo t and the base t modulo s, each pair once (s = t
-    is never coprime).  No factorization is needed.  One rule decides both
-    bases: no prime of s or t divides n - 1, so for x in {s, t} and
-    g = gcd(lambda0(x), n-1) = gcd(lambda(x), n-1), with lambda0(x) the
-    exponent of G_x, a unit y mod x has y**(n-1) == 1 (mod x) exactly when
-    y**g == 1 (mod x).  lambda0 comes from one bulk.phi0_lambda0_arrays pass
-    to limit // 2, the pass tail_bound runs.
+    is never coprime).  No factorization is needed.
 
-    Base s mod t: t divides s**g - 1 >= 1, so s**g >= t + 1: a pair with
-    s**g <= t is refuted before any power is taken mod t.  For the rest,
-    s**g mod t is read off s**g itself where it is below 2**63
+    Base s mod t: no prime of s or t divides n - 1, so with
+    g = gcd(lambda0(t), n-1) = gcd(lambda(t), n-1), lambda0(t) the exponent
+    of G_t, s**(n-1) == 1 (mod t) exactly when s**g == 1 (mod t).  lambda0
+    comes from one bulk.phi0_lambda0_arrays pass to limit // 2, the pass
+    tail_bound runs.  t divides s**g - 1 >= 1, so s**g >= t + 1: a pair
+    with s**g <= t is refuted before any power is taken mod t.  For the
+    rest, s**g mod t is read off s**g itself where it is below 2**63
     (bulk.capped_power), and is otherwise a power mod t with the exponent g.
 
-    Base t mod s: t**g mod s depends only on t mod s and, through g, on
-    t mod lambda0(s), that is on t mod P = s * lambda0(s).  The verdicts are
-    taken once over s < t <= min(s + P, limit // s), and every t reads the
-    one at (t - s - 1) mod P.
+    Base t mod s: t**(n-1) == 1 (mod s) exactly when ord_s(t mod s) divides
+    n - 1.  Each row builds ord_s over the residues mod s once, as the lcm
+    over q = p**e || s of the order mod q, read off one discrete-log table
+    per prime power q <= sqrt(limit) (bulk.unit_order_tables; the q of s
+    come from a smallest-prime array to sqrt(limit)), and each pair is one
+    gather at t mod s and one remainder.  The table is 0 at the non-units,
+    which are never read, and needs no G_s filter: an order sharing a
+    prime with s cannot divide n - 1, as n - 1 is prime to s.
     """
     limit = as_index(limit, "limit", 0)
     if limit > _COUNT_CAP:
@@ -317,14 +321,20 @@ def count_S(limit: int) -> tuple[int, int]:
     member = np.zeros(limit + 1, dtype=bool)
     total = 0
     lam0 = bulk.phi0_lambda0_arrays(limit // 2)[1].view(np.uint32)
-    for s in range(2, isqrt(limit) + 1):
+    root = isqrt(limit)
+    spf = bulk.spf_window(root + 1)
+    tables = bulk.unit_order_tables(spf)
+    for s in range(2, root + 1):
+        order = np.ones(s, dtype=np.uint32)  # ord(u mod s), 0 at the non-units
+        rest = s
+        while rest > 1:
+            p = q = int(spf[rest])
+            while rest % (q * p) == 0:
+                q *= p
+            order = np.lcm(order, np.tile(tables[q], s // q))
+            rest //= q
+        units = np.flatnonzero(order).astype(np.uint32)
         tmax = limit // s
-        units = np.flatnonzero(np.gcd(np.arange(s), s) == 1).astype(np.uint32)
-        period = s * int(lam0[s])
-        t = _prime_to(s, units, s + 1, min(s + period, tmax) + 1)
-        g = np.gcd(t * np.uint32(s) - np.uint32(1), lam0[s])
-        verdict = np.zeros(min(period, tmax - s), dtype=bool)
-        verdict[t - np.uint32(s + 1)] = bulk.powmod_vector(t, g, np.full(t.size, s)) == 1
         for t0 in range(s + 1, tmax + 1, _T_CHUNK):
             t = _prime_to(s, units, t0, min(t0 + _T_CHUNK, tmax + 1))
             n = t * np.uint32(s)
@@ -335,7 +345,7 @@ def count_S(limit: int) -> tuple[int, int]:
             big = np.flatnonzero(power == bulk.POWER_CAP)
             power[big] = bulk.powmod_vector(s, g[live[big]], tl[big])
             live = live[power % tl == 1]  # divisor a = s
-            pass_t = verdict[(t - np.uint32(s + 1)) % np.uint32(period)]  # divisor a = t
+            pass_t = (n - np.uint32(1)) % order[t % np.uint32(s)] == 0  # divisor a = t
             total += live.size + int(np.count_nonzero(pass_t))
             member[n[live]] = True
             member[n[pass_t]] = True

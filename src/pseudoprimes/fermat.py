@@ -42,6 +42,8 @@ class PspVerdict:
 def is_fermat_psp(n: int, a: int) -> PspVerdict:
     """Test a**n == a (mod n) and compositeness of n (n >= 2, a >= 2)."""
     n, a = as_index(n, "n", 2), as_index(a, "a", 2)
+    if n >= INT_DOMAIN:
+        raise ValueError("n out of the supported 63-bit domain")
     passes = powmod(a, n, n) == a % n
     return PspVerdict(n, a, passes, not is_prime(n))
 

@@ -421,8 +421,11 @@ class CountTable:
         base, modulus = _check_table(base, modulus)
         limits = _limits(limits)
         if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-            values = np.asarray(values, object).ravel()  # not float64 for [-1, 2**63]
-            values = np.array([as_index(v, "value") for v in values], object)
+            values = np.asarray(values, object)  # not float64 for [-1, 2**63]
+            if values.ndim == 1:
+                values = np.array([as_index(v, "value") for v in values], object)
+        if values.ndim != 1:
+            raise ValueError("values must be a one-dimensional sequence of integers")
         if values.size and not 0 <= values.min() <= values.max() < 1 << 64:
             raise ValueError("values must lie in [0, 2**64)")
         values = values.astype(np.uint64)

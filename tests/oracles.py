@@ -87,3 +87,27 @@ def union_density(k: int) -> Fraction:
         hit = (np.gcd(a, b) == 1) & table[a % b, (n - 1) % phi]
         member[n[hit] - period - 1] = True
     return Fraction(int(np.count_nonzero(member)), period)
+
+
+def unit_orders(q: int) -> list[int]:
+    """For a prime power q, the multiplicative order of every x mod q (0 for
+    the non-units): the least d >= 1 with pow(x, d, q) == 1.  That d divides
+    phi(q), so it is phi(q) with each prime r of phi(q) divided out while
+    pow(x, d // r, q) == 1 still holds."""
+    p = next(r for r in range(2, q + 1) if q % r == 0)
+    phi = q // p * (p - 1)
+    primes, m = [], phi
+    for r in range(2, phi + 1):
+        if m % r == 0:
+            primes.append(r)
+            while m % r == 0:
+                m //= r
+    orders = [0] * q
+    for x in range(1, q):
+        if x % p:
+            d = phi
+            for r in primes:
+                while d % r == 0 and pow(x, d // r, q) == 1:
+                    d //= r
+            orders[x] = d
+    return orders

@@ -7,6 +7,7 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
+import oracles
 import pseudoprimes as pp
 from pseudoprimes import bulk
 
@@ -413,6 +414,30 @@ def test_order_divides_lambda_and_attains_it():
                 assert lam % d == 0
                 attained = max(attained, d)
         assert attained == lam
+
+
+def test_unit_order_tables_against_pow():
+    # every prime power q <= 2**12, among them 2 .. 4096, 9 .. 2187 and 25 .. 3125
+    tables = bulk.unit_order_tables(bulk.spf_window(2**12 + 1))
+    assert set(tables) == {q for q in range(2, 2**12 + 1) if len(trial_factor(q)) == 1}
+    assert {2**e for e in range(1, 13)} | {3**e for e in range(2, 8)} <= set(tables)
+    assert {5**e for e in range(2, 6)} <= set(tables)
+    for q, orders in tables.items():
+        assert orders.dtype == np.uint32
+        assert orders.tolist() == oracles.unit_orders(q), q
+
+
+def test_primitive_root_lifts_past_a_wieferich_root():
+    # 5 is the least primitive root mod p = 40487 and 5**(p-1) == 1 (mod p**2),
+    # so 5 has order p - 1 mod p**2 and the generator is its lift 5 + p
+    p = 40487
+    primes = [r for r, _ in trial_factor(p - 1)]
+    assert [x for x in range(2, 6) if all(pow(x, (p - 1) // r, p) != 1 for r in primes)] == [5]
+    assert pow(5, p - 1, p * p) == 1
+    g = bulk._primitive_root(p, bulk.spf_window(p))
+    assert g == 5 + p
+    assert all(pow(g, p * (p - 1) // r, p * p) != 1 for r in primes + [p])
+    assert bulk._primitive_root(7, bulk.spf_window(7)) == 3  # 3**6 != 1 (mod 49): no lift
 
 
 def test_order_partition_sums_to_phi_exhaustive_2000():

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import pseudoprimes as pp
-from pseudoprimes import bulk, density
+from pseudoprimes import arith, bulk, density
 from pseudoprimes.errors import CapacityError
 
 
@@ -293,12 +293,31 @@ def test_count_S_every_limit_to_400():
 
 
 def test_count_S_across_t_chunk_edges(monkeypatch):
-    # small t-chunks split the s = 2 row (t up to 1500) many times, and the
-    # t-side verdicts of most rows are read across chunk edges
+    # small t-chunks split the s = 2 row (t up to 1500) many times, and most
+    # rows read their unit orders mod s across chunk edges
     expected = _divisor_base_counts(3000)[3000]
     for chunk in (5, 64):
         monkeypatch.setattr(density, "_T_CHUNK", chunk)
         assert pp.count_S(3000) == expected, chunk
+
+
+def test_count_S_makes_one_powmod_call_per_row(monkeypatch):
+    # the base t mod s is read off unit-order tables, so the only powmods
+    # left are the s-side ones, at most one call per row s of one t-chunk
+    calls = []
+    powmod = bulk.powmod_vector
+    monkeypatch.setattr(bulk, "powmod_vector", lambda *args: calls.append(1) or powmod(*args))
+    assert pp.count_S(10**5) == (62389, 92383)
+    assert 0 < len(calls) <= isqrt(10**5) - 1
+
+
+def test_count_S_calls_no_factor(monkeypatch):
+    def no_factor(*args):
+        raise AssertionError("count_S factored a number")
+
+    monkeypatch.setattr(density, "factor", no_factor)
+    monkeypatch.setattr(arith, "factor", no_factor)
+    assert pp.count_S(10**4) == (6169, 8962)
 
 
 def test_count_S_small_table_rows():

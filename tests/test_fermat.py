@@ -46,6 +46,12 @@ def test_predicates_share_the_63_bit_domain():
                 predicate(n, a)
 
 
+def test_predicates_name_n_past_the_63_bit_domain():
+    for predicate in (pp.is_fermat_psp, pp.psp_criterion):
+        with pytest.raises(ValueError, match="^n out of the supported 63-bit domain"):
+            predicate(2**70, 2)
+
+
 def test_F_and_F_star_examples():
     assert pp.F(561) == 320
     assert pp.F(15) == 4

@@ -472,9 +472,12 @@ def test_tables_reject_bad_base_and_modulus_up_front():
     lambda: pp.CountTable.from_values(2, 4, [10], [-1, 2**63], [(2, 11)]),
     lambda: pp.CountTable.from_values(2, 4, [10], [2**64], [(2, 11)]),
     lambda: pp.count_psp_table(2, 4, 5),
-], ids=["limit", "value", "int64_value", "mixed_values", "value_past_64_bits", "limits"])
+    lambda: pp.CountTable.from_values(2, 4, [10], 5, [(2, 11)]),
+], ids=["limit", "value", "int64_value", "mixed_values", "value_past_64_bits", "limits",
+        "scalar_values"])
 def test_tables_reject_bad_limits_and_values(call):
-    # a negative value, or one past 64 bits, is refused before any tally
+    # a negative value, one past 64 bits, or values that are not one list,
+    # is refused before any tally
     with pytest.raises(ValueError):
         call()
 
