@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Enumerate the even base-2 pseudoprimes below 10^7.
 
-Every even pseudoprime n is 2 mod 4, and the Jacobi condition kills the
-classes 6 and 10 mod 16, so candidates are n = 2 or 14 (mod 16).  Each of
-those classes is presieved: every odd prime p | n has ord_p(2) | n-1, so
-n = p (mod p*ord_p(2)).  When ord_p(2) is even (p = 3, 5, 11, 13, ...) no
-even n lies in that class, and every even multiple of p is dropped; the old
-rule gcd(n, 2145) = 1 is the first four of these primes.  The demo runs the
-enumerator once and checks each value it finds by the definition.
+Every even pseudoprime is n = 2m with m odd and composite, and every prime
+power q^e of m has odd ord_{q^e}(2), since it divides n-1.  The enumerator
+builds such m from their factors: a pre-product k of prime powers of odd
+order, prime to the lcm L_k of those orders, times a larger prime P with
+P = (2k)^-1 (mod L_k) and 2^(2k-1) = 1 (mod P); or, when the largest
+prime of m divides it twice, m itself with L_m | 2m-1.  Every n built so
+is a pseudoprime, and no n is Fermat-tested.  The demo runs the enumerator
+once and checks each value it finds by the definition.
 """
 
 import time

@@ -55,17 +55,18 @@ def spf_window(hi: int) -> np.ndarray:
     return spf
 
 
-def powmod_vector(base, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+def powmod_vector(base, exponent, modulus: np.ndarray) -> np.ndarray:
     """Elementwise base**exponent % modulus (every modulus >= 1) as uint64.
 
-    base may be a scalar or an array; exponents may differ per element.
+    base and exponent may each be a scalar or an array; a scalar is
+    broadcast to the modulus's shape, so an empty modulus makes no pass.
     Vectorized while every modulus is below VECTOR_MOD_LIMIT, else scalar.
     """
     mod = np.asarray(modulus, dtype=np.uint64)
     if mod.size and int(mod.max()) >= VECTOR_MOD_LIMIT:
         args = np.broadcast_arrays(base, exponent, mod)
         return np.fromiter(map(pow, *(x.tolist() for x in args)), np.uint64, mod.size)
-    e = np.asarray(exponent, dtype=np.uint64).copy()
+    e = np.broadcast_to(np.asarray(exponent, dtype=np.uint64), mod.shape).copy()
     b = (np.asarray(base, dtype=np.uint64) % mod if np.ndim(base) else
          np.full(mod.shape, base, dtype=np.uint64) % mod)
     result = (mod != 1).astype(np.uint64)  # 1 % mod

@@ -1,30 +1,29 @@
 """Pseudoprimes in residue classes: the admissibility test for a class to
 contain base-a pseudoprimes, counting of pseudoprimes per class, the
 even-pseudoprime enumerator, empty-class scanning, and ingestion of
-externally computed pseudoprime lists.  Every listing of pseudoprimes comes
-from one Fermat scan over progressions, `_scan`: over each window,
-`_presieve` builds a cofactor array, `_undecided` refutes almost every
-survivor from it, `bulk.powmod_vector` tests the rest, and `is_prime` runs
-on the hits the cofactor lemma leaves open.
+externally computed pseudoprime lists.  Every listing of pseudoprimes but
+the even one comes from one Fermat scan, `iter_psp_values`: over each
+window, `_presieve` builds a cofactor array, `_undecided` refutes almost
+every survivor from it, `bulk.powmod_vector` tests the rest, and `is_prime`
+runs on the hits the cofactor lemma leaves open.  `enumerate_even_psp`
+builds the even pseudoprimes from their factors instead, reading the orders
+off the presieve's table.
 
 The presieve is exact.  Let p be a prime with p not dividing a.  If p | n
 and a^n = a (mod n), then a^(n-1) = 1 (mod p), so ord_p(a) | n-1; as
 ord_p(a) | p-1, this is n = p (mod p*ord_p(a)).  So a pseudoprime divisible
 by p lies in that one class, and every other multiple of p can be dropped
-untested.  This is the per-prime form of the condition h | r-1 below.  It
-also gives the old candidate rule for even base-2 pseudoprimes,
-gcd(n, 2145) = 1: for p = 3, 5, 11, 13 the order of 2 is even, so no even n
-lies in the class and every even multiple of p is dropped.  Two more rules
-bound the power of p.  If p**j | n, ord_{p^j}(a) divides n-1, which is
-prime to p, so a^(p-1) = 1 (mod p**j): only a base-a Wieferich prime
-(1093 and 3511 for a = 2, 3 for a = 10) can divide n twice.  If p | a and
-p**(v+1) | n with v = v_p(a), then p**(v+1) divides a^n (n >= 2) but not a.
-So every table prime (those up to the bound b prime to the progression's
-step) is one row (p, mod, w) of `_order_table`: a pseudoprime divisible by
-p is n = p (mod mod), with mod = p*ord_p(a), or mod = p when p | a, and
-p**(w+1) never divides it, with w = v_p(a) when p | a and otherwise the
-largest w with a^(p-1) = 1 (mod p**w).  `_presieve` reads every row by one
-rule, and its cofactor k is the whole part of n made of the primes up to b.
+untested.  This is the per-prime form of the condition h | r-1 below.  Two
+more rules bound the power of p.  If p**j | n, ord_{p^j}(a) divides n-1,
+which is prime to p, so a^(p-1) = 1 (mod p**j): only a base-a Wieferich
+prime (1093 and 3511 for a = 2, 3 for a = 10) can divide n twice.  If p | a
+and p**(v+1) | n with v = v_p(a), then p**(v+1) divides a^n (n >= 2) but
+not a.  So every table prime (those up to the bound b) is one row
+(p, mod, w) of `_order_table`: a pseudoprime divisible by p is
+n = p (mod mod), with mod = p*ord_p(a), or mod = p when p | a, and p**(w+1)
+never divides it, with w = v_p(a) when p | a and otherwise the largest w
+with a^(p-1) = 1 (mod p**w).  `_presieve` reads every row by one rule, and
+its cofactor k is the whole part of n made of the primes up to b.
 
 The cofactor lemma (the large-prime split of Pomerance, Selfridge and
 Wagstaff) decides almost every survivor.  Let q = n/k; it has no prime
@@ -56,7 +55,7 @@ import enum
 import json
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -72,8 +71,11 @@ from .arith import (
 )
 from .errors import CapacityError, InputFormatError
 
-_CHUNK = 1 << 20  # entries per presieve call; its uint32 cofactor array is 4 MB
+_CHUNK = 1 << 20  # entries per presieve call (4 MB of uint32) and per chunk of the walk's P
 _TABLE_BOUND = 1 << 16  # table primes stay below it; so (b+1)**2 <= 2**32
+# _order_table's spf and arange arrays take 12 bytes per entry, about 200 MB
+# at this cap; the even walk asks for b = isqrt(limit // 2), so limit < 2**49
+_ORDER_TABLE_CAP = 1 << 24
 _PLACES = 6  # decimals of format_fraction
 _TABLE_MOD_CAP = 10**5  # a count table holds one entry per class
 _SCAN_MOD_CAP = 10**3  # scan_empty_classes visits about max_mod**2 / 2 classes
@@ -234,15 +236,17 @@ def _check_capacity(hi: int) -> None:
         raise CapacityError("scans are capped at n < 2**63")
 
 
-def _order_table(a: int, b: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _order_table(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The presieve's rows (p, mod, w) (see the module docstring) as three
-    aligned uint64 arrays over the primes p <= b prime to step, ascending
-    (b < 2**16).  One smallest-prime-factor array lists the primes and
-    factors each p-1; the order starts at p-1, or at 1 where p | a, and
-    loses a prime q of it while a^(order/q) = 1 (mod p)."""
+    aligned uint64 arrays over the primes p <= b, ascending.  One
+    smallest-prime-factor array lists the primes and factors each p-1; the
+    order starts at p-1, or at 1 where p | a, and loses a prime q of it while
+    a^(order/q) = 1 (mod p).  b >= _ORDER_TABLE_CAP raises CapacityError
+    before anything is allocated."""
+    if b >= _ORDER_TABLE_CAP:
+        raise CapacityError("order tables are capped at primes < 2**24 (psp even: limit < 2**49)")
     spf = bulk.spf_window(b + 1)
     p = np.flatnonzero(spf == np.arange(b + 1))[1:]  # spf[p] = p, and spf[0] = 0
-    p = p[np.gcd(p, step) == 1]
     divides = a % p.astype(np.uint64) == 0
     order = np.where(divides, 1, p - 1)
     rest = order.copy()  # the part of the order whose primes are still to strip
@@ -265,59 +269,41 @@ def _order_table(a: int, b: int, step: int) -> tuple[np.ndarray, np.ndarray, np.
     return p.astype(np.uint64), (p * order).astype(np.uint64), w
 
 
-def _presieve(table, step: int):
-    """The presieve of scans over n = start + step*j: a function
-    (start, count) -> k, the cofactor array over 0 <= j < count.  k[j] = 0
-    where the table refutes n, and otherwise k[j] is the part of n made of
-    the primes of the table and of step.  Each row (p, mod, w) is read by
-    one rule: the multiples of p in the class n = p (mod mod) gain p, the
-    others go, and so do those of p**(w+1), after those of p**2 .. p**w
-    gain p.  k starts at gcd(start, step): every p of the table must be
-    prime to step, and every prime of step must divide start less often
-    than step.  k is uint32 when every n is below 2**32.  The inverses of
-    step are found once; each call finds the first j of every slice by CRT
-    in one vector pass, then strikes each slice."""
+def _presieve(table, start: int, count: int) -> np.ndarray:
+    """The cofactor array k of the n = start + j, 0 <= j < count, over the
+    table's rows.  k[j] = 0 where the table refutes n, and otherwise k[j] is
+    the part of n made of the table's primes.  Each row (p, mod, w) is read
+    by one rule: the multiples of p in the class n = p (mod mod) gain p, the
+    others go, and so do those of p**(w+1), after those of p**2 .. p**w gain
+    p.  k is uint32 when every n is below 2**32.  The first j of every slice
+    is found in one vector pass, then each slice is struck."""
     p, mod, w = table
-    g = np.gcd(mod, np.uint64(step))
-    s, sq = mod // g, p * p  # the class strides, and the moduli struck for w = 1
-    inv_s = np.array([pow(step // d, -1, m) for d, m in zip(g.tolist(), s.tolist())], np.uint64)
-    inv_sq = np.array([pow(step, -1, m) for m in sq.tolist()], dtype=np.uint64)
-    deep = [(q, e) for q, e in zip(p.tolist(), w.tolist()) if e > 1]
-
-    def presieve(start: int, count: int) -> np.ndarray:
-        top = start + step * (count - 1)
-        k = np.full(count, gcd(start, step), dtype=np.uint32 if top < 1 << 32 else np.uint64)
-        d = (p + mod - start % mod) % mod  # the class is step*j = d (mod mod)
-        cls = np.where(d % g == 0, d // g * inv_s % s, count)
-        first = (p - start % p) % p * inv_sq % p  # inv_sq inverts step mod p too
-        first2 = np.where(w == 1, (sq - start % sq) % sq * inv_sq % sq, count)
-        for q, j, c, stride, j2 in zip(*(x.tolist() for x in (p, first, cls, s, first2))):
-            if c >= count:  # the class is empty here
-                k[j::q] = 0
-            elif stride == q:  # the class holds every multiple of q
-                k[j::q] *= q
-            else:
-                kept = k[c::stride] * q
-                k[j::q] = 0
-                k[c::stride] = kept
-            k[j2 :: q * q] = 0
-        for q, w_q in deep:  # multiply by q on multiples of q**e, 2 <= e <= w; then by 0
-            for e in range(2, w_q + 2):
-                k[-start * pow(step, -1, q**e) % q**e :: q**e] *= q if e <= w_q else 0
-        return k
-
-    return presieve
+    sq = p * p  # the moduli struck for w = 1
+    k = np.ones(count, dtype=np.uint32 if start + count <= 1 << 32 else np.uint64)
+    cls = (p + mod - start % mod) % mod
+    first = (p - start % p) % p
+    first2 = np.where(w == 1, (sq - start % sq) % sq, count)
+    for q, j, c, stride, j2 in zip(*(x.tolist() for x in (p, first, cls, mod, first2))):
+        kept = k[c::stride] * q  # the multiples of q in the class gain q, the others go
+        k[j::q] = 0
+        k[c::stride] = kept
+        k[j2 :: q * q] = 0
+    deep = w > 1  # these rows multiply by q on multiples of q**e, 2 <= e <= w; then by 0
+    for q, w_q in zip(p[deep].tolist(), w[deep].tolist()):
+        for e in range(2, w_q + 2):
+            k[-start % q**e :: q**e] *= q if e <= w_q else 0
+    return k
 
 
-def _undecided(a: int, start: int, step: int, k: np.ndarray, b: int) -> np.ndarray:
-    """The n = start + step*j, as uint64, that the cofactor array k of
-    _presieve over the primes up to b leaves to the Fermat test.  q = n // k
-    has no prime factor up to b, so it is 1 or a prime when q < (b+1)**2,
-    as it always is below 2**32.  There k = 1 means n is prime, and k > 1
-    refutes n when a^g < q, g = gcd(k-1, q-1) (see the module docstring).
-    As g <= k-1, a^(k-1) < q refutes n before any gcd is taken."""
+def _undecided(a: int, start: int, k: np.ndarray, b: int) -> np.ndarray:
+    """The n = start + j, as uint64, that the cofactor array k of _presieve
+    over the primes up to b leaves to the Fermat test.  q = n // k has no
+    prime factor up to b, so it is 1 or a prime when q < (b+1)**2, as it
+    always is below 2**32.  There k = 1 means n is prime, and k > 1 refutes
+    n when a^g < q, g = gcd(k-1, q-1) (see the module docstring).  As
+    g <= k-1, a^(k-1) < q refutes n before any gcd is taken."""
     j = np.flatnonzero(k > 0)
-    n = j.astype(np.uint64) * np.uint64(step) + np.uint64(start)
+    n = j.astype(np.uint64) + np.uint64(start)
     k = k[j]
     q = n // k
     keep = q >= (b + 1) ** 2
@@ -327,40 +313,30 @@ def _undecided(a: int, start: int, step: int, k: np.ndarray, b: int) -> np.ndarr
     return n[keep]
 
 
-def _scan(a: int, lo: int, hi: int, step: int, classes):
-    """Yield uint64 arrays of the base-a pseudoprimes n in [lo, hi) with
-    n % step in classes, ascending; hi <= 2**63, and lo > 1 exceeds every
-    prime of step.  The table primes are those up to
-    b = min(sqrt(hi), _TABLE_BOUND - 1) prime to step, and `is_prime` runs
-    on the hits n <= b and n >= (b+1)**2 (see the module docstring)."""
-    b = min(isqrt(hi - 1), _TABLE_BOUND - 1)
-    presieve = _presieve(_order_table(a, b, step), step)
-    cap = (b + 1) ** 2
-    width = _CHUNK * (step // len(classes))  # a window holds _CHUNK numbers of the classes
-    for wlo in range(lo, hi, width):
-        whi = min(wlo + width, hi)
-        firsts = [wlo + (r - wlo) % step for r in classes]
-        parts = [_undecided(a, f, step, presieve(f, len(range(f, whi, step))), b) for f in firsts]
-        ns = np.sort(np.concatenate(parts))
-        hits = ns[bulk.powmod_vector(a, ns, ns) == np.uint64(a) % ns]
-        doubt = np.flatnonzero((hits <= b) | (hits >= cap))
-        hits = np.delete(hits, doubt[[is_prime(n) for n in hits[doubt].tolist()]])
-        if hits.size:
-            yield hits
-
-
 def iter_psp_values(a: int, lo: int, hi: int):
-    """Yield uint64 arrays of the base-a pseudoprimes in [lo, hi), ascending:
-    one `_scan` of step 1, with scalar (slow) Fermat tests from 2**32 on.
-    hi > 2**63 raises CapacityError; a base outside [2, 2**63), the integer
-    domain of arith, is a ValueError.
+    """Yield uint64 arrays of the base-a pseudoprimes in [lo, hi), ascending,
+    one presieved window of _CHUNK numbers at a time, with scalar (slow)
+    Fermat tests from 2**32 on.  The table primes are those up to
+    b = min(sqrt(hi), _TABLE_BOUND - 1), and `is_prime` runs on the hits
+    n <= b and n >= (b+1)**2 (see the module docstring).  hi > 2**63 raises
+    CapacityError; a base outside [2, 2**63), the integer domain of arith,
+    is a ValueError.
     """
     a, _ = _check_base_modulus(a)
     lo, hi = as_index(lo, "lo"), as_index(hi, "hi")
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
     _check_capacity(hi)
-    yield from _scan(a, lo, hi, 1, (0,))
+    b = min(isqrt(hi - 1), _TABLE_BOUND - 1)
+    table = _order_table(a, b)
+    cap = (b + 1) ** 2
+    for wlo in range(lo, hi, _CHUNK):
+        ns = _undecided(a, wlo, _presieve(table, wlo, min(_CHUNK, hi - wlo)), b)
+        hits = ns[bulk.powmod_vector(a, ns, ns) == np.uint64(a) % ns]
+        doubt = np.flatnonzero((hits <= b) | (hits >= cap))
+        hits = np.delete(hits, doubt[[is_prime(n) for n in hits[doubt].tolist()]])
+        if hits.size:
+            yield hits
 
 
 def _psp_array(a: int, lo: int, hi: int) -> np.ndarray:
@@ -498,20 +474,78 @@ def count_psp_table(a: int, m: int, limits) -> CountTable:
 
 
 def enumerate_even_psp(limit: int) -> list[int]:
-    """All even base-2 pseudoprimes <= limit, ascending.
+    """All even base-2 pseudoprimes <= limit, ascending, built from their
+    factors rather than scanned.
 
-    One `_scan` of step 16 over the classes 2 and 14: an even pseudoprime is
-    2 mod 4, and the classes 6 and 10 mod 16 are refuted by the Jacobi
-    condition.  Its table primes are the odd ones.  When ord_p(2) is even,
-    the class n = p (mod p*ord_p(2)) holds only odd n, so every even
-    multiple of p goes; 3, 5, 11 and 13 are such p, which is the old
-    candidate rule gcd(n, 2145) = 1.  The cofactor of each n starts at 2, so
-    n = 2q with q prime gives g = 1 and is refuted untested.  limit >= 2**63
-    raises CapacityError.
+    Call an odd k a pre-product when ord_{q^e}(2) is odd for every
+    q^e || k and gcd(k, L_k) = 1, L_k the lcm of those orders.  The lemma:
+    let n = 2m be an even pseudoprime.  m is odd, as 4 | n would give
+    2^n = 0 (mod 4), and m is not a prime P, as then 2^(n-1) = 2, not 1,
+    (mod P).  Each ord_{q^e}(2) with q^e || m divides n-1, so m is a
+    pre-product.  Let P be the largest prime of m.  If P^2 | m, n is a
+    pseudoprime exactly when L_m | 2m-1.  Otherwise m = kP with k > 1 a
+    pre-product prime to P, L_k | n-1 gives P = (2k)^-1 (mod L_k), and as
+    ord_P(2) divides P-1 and n-1 = 2k(P-1) + 2k-1, it divides 2k-1: so
+    2^(2k-1) = 1 (mod P), and some prime p0 | 2k-1 divides ord_P(2) | P-1,
+    so P = 1 = (2k)^-1 (mod p0).  Conversely, for any prime P above the
+    primes of k with 2^(2k-1) = 1 (mod P) and P = (2k)^-1 (mod L_k),
+    2^(n-1) = 1 (mod m), so n = 2kP is a pseudoprime with no further pow.
+
+    The walk builds the pre-products k depth first from prime powers q^e in
+    ascending q, while 2k*q^max(e, 2) <= limit.  It reads the orders off
+    the rows of _order_table(2, sqrt(limit/2)) and keeps the odd ones:
+    ord_{q^e}(2) = (mod/q) q^max(0, e-w), so e > w would put q into L_k,
+    and only e <= w is taken.  At each k it tests 2k when its top exponent
+    is 2 or more, and for each prime p0 | 2k-1 the odd
+    P = (2k)^-1 (mod lcm(L_k, p0)) in (largest prime of k, limit/(2k)] by
+    powmod_vector(2, 2k-1, P) == 1 and then is_prime(P).
+
+    On a 2-core box it takes 0.08 s to 10**8, 1.5 s to 4*10**9 and 32 s to
+    10**11 (79 values); the P tested grow as limit/490, so 10**12 takes
+    minutes and the paper's 10**16 is out of reach.  limit >= 2**63 raises
+    CapacityError, and so does limit >= 2**49, where the order table would
+    outgrow memory.
     """
     limit = as_index(limit, "limit", 0)
     _check_capacity(limit + 1)
-    return [n for part in _scan(2, 4, limit + 1, 16, (2, 14)) for n in part.tolist()]
+    table = (x.tolist() for x in _order_table(2, isqrt(limit // 2)))
+    rows = [(q, mod // q, w) for q, mod, w in zip(*table) if q > 2 and mod // q % 2]
+    found: list[int] = []
+
+    def walk(k: int, lk: int, i: int) -> None:
+        for j in range(i, len(rows)):
+            q, order, w = rows[j]
+            if 2 * k * q * q > limit:
+                break
+            lq = lcm(lk, order)
+            if gcd(k * q, lq) > 1:
+                continue
+            for e in range(1, w + 1):
+                kq = k * q**e
+                if 2 * kq > limit:
+                    break
+                if e > 1 and (2 * kq - 1) % lq == 0:
+                    found.append(2 * kq)
+                found.extend(_even_psp_tops(kq, lq, q, limit))
+                walk(kq, lq, j + 1)
+
+    walk(1, 1, 0)
+    return sorted(found)
+
+
+def _even_psp_tops(k: int, lk: int, top: int, limit: int) -> list[int]:
+    """The n = 2kP <= limit with P > top a prime, for a pre-product k with
+    largest prime top and L_k = lk (see enumerate_even_psp)."""
+    hi, passed = limit // (2 * k), set()
+    for p0, _ in factor(2 * k - 1).factors:
+        mod = lcm(lk, p0)
+        c = pow(2 * k, -1, mod)
+        step = 2 * mod  # P is odd, and mod is odd
+        first = top + 1 + (c + mod * (1 - c % 2) - top - 1) % step
+        for lo in range(first, hi + 1, step * _CHUNK):
+            ps = np.arange(lo, min(lo + step * _CHUNK, hi + 1), step, dtype=np.uint64)
+            passed.update(ps[bulk.powmod_vector(2, 2 * k - 1, ps) == 1].tolist())
+    return [2 * k * p for p in passed if is_prime(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,20 @@ def test_powmod_vector_matches_pow():
     assert bulk.powmod_vector(empty, empty, empty).tolist() == []
 
 
+@pytest.mark.parametrize("moduli", [[], [1], [7, 2**32 - 1], [5, 2**32, 2**63 - 25]],
+                         ids=["empty", "one", "vector", "scalar-pow"])
+def test_powmod_vector_scalar_exponent_broadcasts(moduli):
+    # a scalar exponent gives what the same exponent per element gives
+    mod = np.array(moduli, dtype=np.uint64)
+    for base in (2, np.arange(3, 3 + mod.size, dtype=np.uint64)):
+        for e in (0, 1, 2**13 - 1, 2**64 - 1):
+            scalar = bulk.powmod_vector(base, e, mod)
+            each = bulk.powmod_vector(base, np.full(mod.size, e, dtype=np.uint64), mod)
+            assert scalar.dtype == each.dtype == np.uint64
+            assert scalar.shape == each.shape == mod.shape
+            assert scalar.tolist() == each.tolist()
+
+
 # ---------------------------------------------------------------------------
 # primality
 

@@ -209,7 +209,8 @@ def test_capacity_exit_code(capsys, tmp_path):
     path.write_text("341\n", encoding="utf-8")
     for argv in (f"psp count --mod {sieve._TABLE_MOD_CAP + 1} --limit 1e3",
                  f"psp ingest --mod {sieve._TABLE_MOD_CAP + 1} --input {path}",
-                 f"psp empty-classes --mod {sieve._SCAN_MOD_CAP + 1} --limit 1e3"):
+                 f"psp empty-classes --mod {sieve._SCAN_MOD_CAP + 1} --limit 1e3",
+                 "psp even --limit 1e17"):
         code, out, err = _capture(capsys, argv.split())
         assert code == 3 and out == "" and "capacity" in err, argv
 

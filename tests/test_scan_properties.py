@@ -61,38 +61,33 @@ def _smooth_part(n, primes):
     return k
 
 
-def _refuted(a, ns, primes, step):
-    """The n in the progression ns that some prime p of primes rules out:
-    p | n with n != p (mod p*ord_p(a)), or p**(w+1) | n, where w = v_p(a)
-    for p | a and otherwise the largest w with a^(p-1) = 1 (mod p**w)."""
+def _refuted(a, ns, primes):
+    """The n in the range ns that some prime p of primes rules out: p | n
+    with n != p (mod p*ord_p(a)), or p**(w+1) | n, where w = v_p(a) for
+    p | a and otherwise the largest w with a^(p-1) = 1 (mod p**w)."""
     out = set()
     for p in primes:
         order = multiplicative_order(a, p) if a % p else 1
         w = 1
         while a % p ** (w + 1) == 0 or pow(a, p - 1, p ** (w + 1)) == 1:
             w += 1
-        for n in ns[-ns.start * pow(step, -1, p) % p :: p]:  # the multiples of p
+        for n in ns[-ns.start % p :: p]:  # the multiples of p
             if (n - p) % (p * order) or n % p ** (w + 1) == 0:
                 out.add(n)
     return out
 
 
 @settings(SCAN, max_examples=100)
-@given(a=st.integers(2, 64), window=windows(), even=st.sampled_from([0, 2, 14]))
-def test_cofactor_array_matches_trial_division(a, window, even):
-    # even = r > 0 runs the even enumerator's presieve: base 2 over n = r (mod 16)
-    # with the odd primes only, its cofactor starting at 2
+@given(a=st.integers(2, 64), window=windows())
+def test_cofactor_array_matches_trial_division(a, window):
     lo, hi = window
     hi = min(hi, lo + 2**10)
     b = isqrt(min(hi, 2**32) - 1)
     primes = _primes_upto(b)
-    step, table_primes = 1, primes
-    if even:
-        a, step, lo, table_primes = 2, 16, lo + (even - lo) % 16, primes[1:]
-    ns = range(lo, hi, step)
-    k = sieve._presieve(sieve._order_table(a, b, step), step)(lo, len(ns))
-    undecided = set(sieve._undecided(a, lo, step, k, b).tolist())
-    refuted = _refuted(a, ns, table_primes, step)
+    ns = range(lo, hi)
+    k = sieve._presieve(sieve._order_table(a, b), lo, len(ns))
+    undecided = set(sieve._undecided(a, lo, k, b).tolist())
+    refuted = _refuted(a, ns, primes)
     for n, kn in zip(ns, k.tolist()):
         # strength: k = 0 exactly where a table prime refutes n
         assert (kn == 0) == (n in refuted), (n, kn)

@@ -6,7 +6,7 @@ import io
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -177,7 +177,7 @@ def test_scan_across_2_pow_32_matches_scalar_oracle():
 
 @pytest.mark.parametrize("a", [2, 3, 5, 6, 10])
 def test_order_table_matches_scalar_order(a):
-    table = list(zip(*(x.tolist() for x in sieve._order_table(a, 2**16, 1))))
+    table = list(zip(*(x.tolist() for x in sieve._order_table(a, 2**16))))
     assert [p for p, _, _ in table] == bulk.primes_upto(2**16).tolist()
     coprime = [(p, mod, w) for p, mod, w in table if a % p]
     assert [mod // p for p, mod, _ in coprime] == [
@@ -347,6 +347,73 @@ def test_even_psp_class_shape():
 def test_even_psp_agree_with_full_stream(psp2_1e7):
     evens = psp2_1e7[psp2_1e7 % 2 == 0]
     assert evens.tolist() == pp.enumerate_even_psp(LIMIT_1E7)
+
+
+# The even base-2 pseudoprimes below 4e9, as the step-16 presieved scan over
+# the classes 2 and 14 mod 16 listed them before the walk replaced it.
+EVEN_PSP_TO_4E9 = [
+    161038, 215326, 2568226, 3020626, 7866046, 9115426, 49699666, 143742226, 161292286,
+    196116194, 209665666, 213388066, 293974066, 336408382, 377994926, 410857426, 665387746,
+    667363522, 672655726, 760569694, 1066079026, 1105826338, 1423998226, 1451887438,
+    1610063326, 2001038066, 2138882626, 2952654706, 3220041826, 3434672242,
+]
+
+
+def test_even_psp_to_4e9_match_the_scan():
+    assert pp.enumerate_even_psp(4 * 10**9) == EVEN_PSP_TO_4E9
+    assert pp.enumerate_even_psp(3434672242) == EVEN_PSP_TO_4E9
+    assert pp.enumerate_even_psp(3434672241) == EVEN_PSP_TO_4E9[:-1]
+
+
+def _walk_shape(n, limit):
+    """Whether the even n <= limit meets the conditions the even walk builds
+    from, checked with pow and scalar arith only: n = 2m with m odd and
+    composite, every q^e || m of odd order, P the largest prime of m; if
+    P^2 | m, L_m | 2m - 1 with gcd(m, L_m) = 1; otherwise m = kP with every
+    q of k at most sqrt(limit/2), gcd(k, L_k) = 1, 2kP = 1 (mod L_k),
+    2^(2k-1) = 1 (mod P) and P = 1 (mod p0) for a prime p0 | 2k - 1."""
+    m = n // 2
+    if n % 4 != 2 or arith.is_prime(m):
+        return False
+    factors = arith.factor(m).factors
+    orders = [arith.multiplicative_order(2, q**e) for q, e in factors]
+    if any(o % 2 == 0 for o in orders):
+        return False
+    big_p, e = factors[-1]
+    if e > 1:
+        lm = lcm(*orders)
+        return (2 * m - 1) % lm == 0 and gcd(m, lm) == 1
+    k, lk = m // big_p, lcm(*orders[:-1])
+    return (
+        all(q * q <= limit // 2 for q, _ in arith.factor(k).factors)
+        and gcd(k, lk) == 1
+        and (2 * k * big_p) % lk == 1 % lk
+        and pow(2, 2 * k - 1, big_p) == 1
+        and any(big_p % p0 == 1 for p0, _ in arith.factor(2 * k - 1).factors)
+    )
+
+
+def test_even_psp_meet_the_walk_lemma(psp2_1e7):
+    evens = psp2_1e7[psp2_1e7 % 2 == 0].tolist()
+    assert evens and all(_walk_shape(n, LIMIT_1E7) for n in evens)
+    assert all(_walk_shape(n, 4 * 10**9) for n in EVEN_PSP_TO_4E9)
+    # m prime; ord_3(2) even; 2kP != 1 (mod L_k); 2^(2k-1) != 1 (mod P), k = 7
+    assert not any(_walk_shape(n, LIMIT_1E7) for n in (14, 42, 2 * 7 * 79, 2 * 7 * 53))
+
+
+def test_even_walk_caps_its_order_table_before_allocating(monkeypatch):
+    # the table's primes must stay below 2**24, so limit < 2**49; the cap is
+    # checked before the spf array is allocated
+    def no_alloc(hi):
+        raise AssertionError(f"allocated spf_window({hi})")
+
+    monkeypatch.setattr(bulk, "spf_window", no_alloc)
+    for call in (lambda: pp.enumerate_even_psp(2**49), lambda: pp.enumerate_even_psp(10**17),
+                 lambda: sieve._order_table(2, sieve._ORDER_TABLE_CAP)):
+        with pytest.raises(CapacityError):
+            call()
+    with pytest.raises(AssertionError, match="allocated"):  # just below the cap it runs
+        pp.enumerate_even_psp(2**49 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +594,7 @@ def test_table_moduli_past_the_cap_raise_before_any_work(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scanned before the modulus was checked")
 
-    monkeypatch.setattr(sieve, "_scan", no_scan)
+    monkeypatch.setattr(sieve, "iter_psp_values", no_scan)
     m = sieve._TABLE_MOD_CAP + 1
     for call in (lambda: pp.ingest_psp_list(_unread(), m),
                  lambda: pp.CountTable.from_values(2, m, [10], _unread(), [(2, 11)]),
