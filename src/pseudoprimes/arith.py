@@ -31,17 +31,12 @@ _SMALL_PRIMES = (
 def powmod(base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus with exact intermediates."""
     base, exponent = as_index(base, "base", 0), as_index(exponent, "exponent", 0)
-    modulus = as_index(modulus, "modulus", 1)
-    if modulus >= INT_DOMAIN:
-        raise ValueError("modulus out of the supported 63-bit domain")
-    return pow(base, exponent, modulus)
+    return pow(base, exponent, as_index(modulus, "modulus", 1, 63))
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**63."""
-    n = as_index(n)
-    if n < 0 or n >= INT_DOMAIN:
-        raise ValueError("n out of the supported 63-bit domain")
+    n = as_index(n, "n", 0, 63)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -116,16 +111,19 @@ def _pollard_rho(n: int) -> int:
         c += 1  # rare cycle failure: restart with a new polynomial
 
 
-def as_index(n, name: str = "n", lo: int | None = None) -> int:
+def as_index(n, name: str = "n", lo: int | None = None, bits: int | None = None) -> int:
     """n as a Python int through operator.index, so an int or a numpy
-    integer passes and a float, Fraction or string is a ValueError, as is
-    n < lo.  Every size the public API takes is checked here."""
+    integer passes and a float, Fraction or string is a ValueError, as are
+    n < lo and n >= 2**bits.  Every size the public API takes is checked
+    here."""
     try:
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
     if lo is not None and n < lo:
         raise ValueError(f"{name} must be >= {lo}")
+    if bits is not None and n >= 1 << bits:
+        raise ValueError(f"{name} out of the supported {bits}-bit domain (< 2**{bits})")
     return n
 
 
@@ -134,9 +132,7 @@ def factor(n: int) -> Factorization:
 
     Every prime it lists is proved here, so the Factorization is built
     without re-proving them."""
-    n = as_index(n, "n", 2)
-    if n >= INT_DOMAIN:
-        raise ValueError("n out of the supported 63-bit domain")
+    n = as_index(n, "n", 2, 63)
     value = n
     found: dict[int, int] = {}
     for p in _SMALL_PRIMES:

@@ -8,9 +8,12 @@ These back the residue-class counting and density modules.  The
 exponentiation is vectorized while every modulus is below 2**32, so products
 of two reduced residues fit a uint64, and runs scalar `pow` otherwise.  The
 arrays indexed by n all come from one smallest-prime recurrence, _spf_runs,
-and are int32: their values are at most their index, which is kept below
-2**31.  phi_lambda_arrays and coprime_part_array are the tests' oracle for
-phi0_lambda0_arrays; the library calls neither.
+over a spf_window array the caller builds once and hands to every kernel
+that reads it (unit_order_tables, phi0_lambda0_arrays, tau_array), so one
+job sieves its range once.  They are int32: their values are at most their
+index, which spf_window keeps below 2**31.  phi_lambda_arrays (with a
+sieve of its own) and coprime_part_array (gcd passes) are the tests' oracle
+for phi0_lambda0_arrays; the library calls neither.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ _RUN = 1 << 20  # entries per _spf_runs chunk; bounds its temporaries
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as int64."""
+    limit = as_index(limit, "limit")
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
     comp = composite_flags(limit + 1, primes_upto(isqrt(limit)))
@@ -37,16 +41,16 @@ def primes_upto(limit: int) -> np.ndarray:
 
 def spf_window(hi: int) -> np.ndarray:
     """Smallest prime factor of each n in [0, hi), as int32; 0 for n < 2.
-    hi >= 2**31 is a ValueError.
+    hi >= 2**31 is a ValueError, so every value read off the array, and
+    every index of the arrays built from it, fits an int32.
 
-    Composites are marked by ascending primes p <= sqrt(hi-1), so the first
+    Composites are marked by ascending primes p <= sqrt(hi), so the first
     mark a position receives is its least prime; survivors are primes and map
     to themselves.
     """
-    if hi >= 1 << 31:
-        raise ValueError(f"spf_window needs hi < 2**31, got {hi}")
+    hi = as_index(hi, "hi", 0, 31)
     spf = np.zeros(hi, dtype=np.int32)
-    for p in primes_upto(isqrt(hi - 1)).tolist():
+    for p in primes_upto(isqrt(hi)).tolist():
         sl = spf[p * p :: p]
         sl[sl == 0] = p
     unmarked = np.flatnonzero(spf == 0)
@@ -223,11 +227,11 @@ def _strip(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x
 
 
-def phi0_lambda0_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
+def phi0_lambda0_arrays(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(phi0, lam0) as int32 arrays with phi0[n] and lam0[n] the order and
     the exponent of G_n, the subgroup of (Z/nZ)^* of the units whose order is
-    coprime to n, for 0 <= n <= hi < 2**31 - 1 (index 0 is set to 0, and
-    G_1 is trivial).
+    coprime to n, for 0 <= n < spf.size, spf a spf_window array (index 0 is
+    set to 0, and G_1 is trivial).
 
     One pass of _spf_runs.  Let p = spf(n) and rest = n // p**v_p(n).  Every
     prime of p - 1 is below p, so none divides n: G_n is C_(p-1) times G_rest
@@ -235,10 +239,8 @@ def phi0_lambda0_arrays(hi: int) -> tuple[np.ndarray, np.ndarray]:
     p = 2.  So phi0(n) = (p-1) * strip_p(phi0(rest)) and lam0(n) =
     lcm(p-1, strip_p(lam0(rest))), with p - 1 read as 1 for p = 2.  Both
     are at most phi(n) < n, so int32 holds them."""
-    hi = as_index(hi, "hi")
-    spf = spf_window(hi + 1)
-    phi0 = np.zeros(hi + 1, dtype=np.int32)
-    lam0 = np.zeros(hi + 1, dtype=np.int32)
+    phi0 = np.zeros(spf.size, dtype=np.int32)
+    lam0 = np.zeros(spf.size, dtype=np.int32)
     phi0[1:2] = lam0[1:2] = 1
     for sl, p, _, _, rest in _spf_runs(spf):
         c = np.maximum(p - 1, 1)
@@ -270,17 +272,15 @@ def coprime_part_array(x: np.ndarray, b: np.ndarray) -> np.ndarray:
         g = np.gcd(out[act], g)
 
 
-def tau_array(x: np.ndarray) -> np.ndarray:
-    """Divisor count of each x >= 1, as int32 (every x < 2**31 - 1).
+def tau_array(spf: np.ndarray) -> np.ndarray:
+    """Divisor count tau[n] of each 0 <= n < spf.size, spf a spf_window
+    array, as int32 (index 0 is set to 0).
 
-    One pass of _spf_runs over spf_window(x.max() + 1): tau(n) = tau(m) + 1
-    when n is the prime power pe, else tau(rest) * tau(pe)."""
-    if x.size and x.min() < 1:
-        raise ValueError("tau_array needs every x >= 1")
-    spf = spf_window(int(x.max(initial=0)) + 1)
+    One pass of _spf_runs: tau(n) = tau(m) + 1 when n is the prime power pe,
+    else tau(rest) * tau(pe)."""
     tau = np.zeros(spf.size, dtype=np.int32)
     tau[1:2] = 1
     for sl, _, m, pe, rest in _spf_runs(spf):
         tau[sl] = tau[m] + 1
         tau[sl] = tau[rest] * tau[pe]  # tau(n) itself when rest == 1
-    return tau[x]
+    return tau

@@ -43,20 +43,25 @@ def _integer(text: str) -> int:
 
 
 def _group(text: str) -> density.AbelianPGroup:
-    """Parse 'p:l1,l2,...' into an abelian p-group."""
+    """Parse 'p:l1,l2,...' into an abelian p-group; p and each exponent
+    are parsed as _integer parses a numeric flag."""
     try:
         p_text, lam_text = text.split(":", 1)
-        lambdas = tuple(int(x) for x in lam_text.split(","))
-        return density.AbelianPGroup(int(p_text), lambdas)
-    except ValueError as exc:
+        lambdas = tuple(_integer(x) for x in lam_text.split(","))
+        return density.AbelianPGroup(_integer(p_text), lambdas)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad group spec {text!r}: {exc}") from None
 
 
-def _rational(value: Fraction) -> str:
+def _digits(n: int) -> str:
     # Decimal renders integers of any length; str() stops at the
     # interpreter's int-to-str digit limit (4300 digits by default).
+    return str(Decimal(n))
+
+
+def _rational(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
-    return f"{Decimal(num)}/{Decimal(den)} {sieve.format_fraction(num, den)}"
+    return f"{_digits(num)}/{_digits(den)} {sieve.format_fraction(num, den)}"
 
 
 def _psp_count(args: argparse.Namespace) -> str:
@@ -132,7 +137,8 @@ def _tail_bound(args: argparse.Namespace) -> str:
 def _group_check(args: argparse.Namespace) -> str:
     report = density.check_group_bounds(args.group)
     lines = [
-        f"p={p} j={j} count={count} ratio={ratio.numerator}/{ratio.denominator} cap={cap}\n"
+        f"p={p} j={j} count={_digits(count)} "
+        f"ratio={_digits(ratio.numerator)}/{_digits(ratio.denominator)} cap={_digits(cap)}\n"
         for p, j, count, ratio, cap in report.rows
     ]
     ok = "true" if report.all_ok else "false"

@@ -295,12 +295,13 @@ def count_S(limit: int) -> tuple[int, int]:
     The scan enumerates divisor pairs n = s*t with s < t grouped by the
     smaller side s, keeps the t prime to s (built from the units mod s), and
     tests the base s modulo t and the base t modulo s, each pair once (s = t
-    is never coprime).  No factorization is needed.
+    is never coprime).  No factorization is needed, and one smallest-prime
+    array to limit // 2 (bulk.spf_window) serves both bases.
 
     Base s mod t: no prime of s or t divides n - 1, so with
     g = gcd(lambda0(t), n-1) = gcd(lambda(t), n-1), lambda0(t) the exponent
     of G_t, s**(n-1) == 1 (mod t) exactly when s**g == 1 (mod t).  lambda0
-    comes from one bulk.phi0_lambda0_arrays pass to limit // 2, the pass
+    comes from one bulk.phi0_lambda0_arrays pass over that array, the pass
     tail_bound runs.  t divides s**g - 1 >= 1, so s**g >= t + 1: a pair
     with s**g <= t is refuted before any power is taken mod t.  For the
     rest, s**g mod t is read off s**g itself where it is below 2**63
@@ -309,20 +310,23 @@ def count_S(limit: int) -> tuple[int, int]:
     Base t mod s: t**(n-1) == 1 (mod s) exactly when ord_s(t mod s) divides
     n - 1.  Each row builds ord_s over the residues mod s once, as the lcm
     over q = p**e || s of the order mod q, read off one discrete-log table
-    per prime power q <= sqrt(limit) (bulk.unit_order_tables; the q of s
-    come from a smallest-prime array to sqrt(limit)), and each pair is one
-    gather at t mod s and one remainder.  The table is 0 at the non-units,
-    which are never read, and needs no G_s filter: an order sharing a
-    prime with s cannot divide n - 1, as n - 1 is prime to s.
+    per prime power q <= sqrt(limit) (bulk.unit_order_tables), and each pair
+    is one gather at t mod s and one remainder.  The table is 0 at the
+    non-units, which are never read, and needs no G_s filter: an order
+    sharing a prime with s cannot divide n - 1, as n - 1 is prime to s.
+    The tables and the q of each s read the first sqrt(limit) + 1 entries
+    of the smallest-prime array, copied once lambda0 is read so that the
+    rest is freed.
     """
     limit = as_index(limit, "limit", 0)
     if limit > _COUNT_CAP:
         raise CapacityError(f"count_S capped at limit <= {_COUNT_CAP}")
     member = np.zeros(limit + 1, dtype=bool)
     total = 0
-    lam0 = bulk.phi0_lambda0_arrays(limit // 2)[1].view(np.uint32)
+    spf = bulk.spf_window(limit // 2 + 1)
+    lam0 = bulk.phi0_lambda0_arrays(spf)[1].view(np.uint32)
     root = isqrt(limit)
-    spf = bulk.spf_window(root + 1)
+    spf = spf[: root + 1].copy()  # frees the rest of the sieve
     tables = bulk.unit_order_tables(spf)
     for s in range(2, root + 1):
         order = np.ones(s, dtype=np.uint32)  # ord(u mod s), 0 at the non-units
@@ -371,13 +375,14 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
     exact rational lower bound of the true sum with deficit below
     (b_hi - b_lo) / 10**18.
 
-    lambda0 and phi0, the exponent and the order of G_b, come from one
-    smallest-prime pass, bulk.phi0_lambda0_arrays: with p = spf(b) and
-    rest = b // p**v_p(b), G_b is C_(p-1) times G_rest without its
-    p-component (without its 2-component, and no C_(p-1), for p = 2), as no
-    prime of p - 1 divides b.  Each term is num / b**2 with the integer
-    num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m, num <= phi0 < b,
-    so num is formed in int32 with no overflow.  Its floor at scale 10**18
+    One smallest-prime array to b_hi (bulk.spf_window) feeds two passes:
+    tau of every index (bulk.tau_array), read at lambda0, and lambda0 and
+    phi0, the exponent and the order of G_b (bulk.phi0_lambda0_arrays).
+    With p = spf(b) and rest = b // p**v_p(b), G_b is C_(p-1) times G_rest
+    without its p-component (without its 2-component, and no C_(p-1), for
+    p = 2), as no prime of p - 1 divides b.  Each term is num / b**2 with
+    the integer num = tau(lambda0) * (phi0 / lambda0); as tau(m) <= m,
+    num <= phi0 < b, so num is formed in int32 with no overflow.  Its floor at scale 10**18
     is two integer divisions by b: with num * 10**9 = q*b + r,
     floor(10**18 * num / b**2) = (q * 10**9 + r * 10**9 // b) // b, and no
     value there reaches 10**18 + 10**9 < 2**63.  A term is below 10**18 / b
@@ -389,9 +394,11 @@ def tail_bound(b_lo: int, b_hi: int) -> Fraction:
         raise ValueError("need 2 <= b_lo < b_hi")
     if b_hi > _TAIL_CAP:
         raise CapacityError(f"tail_bound capped at b_hi <= {_TAIL_CAP}")
-    phi0, lam0 = bulk.phi0_lambda0_arrays(b_hi)
-    phi0, lam0 = phi0[b_lo + 1 :], lam0[b_lo + 1 :]
-    num = bulk.tau_array(lam0) * (phi0 // lam0)  # num <= phi0 < b
+    spf = bulk.spf_window(b_hi + 1)
+    phi0, lam0 = (x[b_lo + 1 :] for x in bulk.phi0_lambda0_arrays(spf))
+    num = bulk.tau_array(spf)[lam0]
+    del spf
+    num *= phi0 // lam0  # num <= phi0 < b
     del phi0, lam0
     acc = 0
     e9 = np.uint64(10**9)

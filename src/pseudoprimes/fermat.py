@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import (
-    INT_DOMAIN,
     Factorization,
     as_factorization,
     as_index,
@@ -41,9 +40,7 @@ class PspVerdict:
 
 def is_fermat_psp(n: int, a: int) -> PspVerdict:
     """Test a**n == a (mod n) and compositeness of n (n >= 2, a >= 2)."""
-    n, a = as_index(n, "n", 2), as_index(a, "a", 2)
-    if n >= INT_DOMAIN:
-        raise ValueError("n out of the supported 63-bit domain")
+    n, a = as_index(n, "n", 2, 63), as_index(a, "a", 2)
     passes = powmod(a, n, n) == a % n
     return PspVerdict(n, a, passes, not is_prime(n))
 
@@ -53,9 +50,7 @@ def psp_criterion(n: int, a: int) -> bool:
     of n coprime to a, requires ord_a mod n_a to divide n-1 and n/n_a to
     divide a.  Equivalent to a**n == a (mod n), on the same domain
     2 <= n < 2**63, a >= 2."""
-    n, a = as_index(n, "n", 2), as_index(a, "a", 2)
-    if n >= INT_DOMAIN:
-        raise ValueError("n out of the supported 63-bit domain")
+    n, a = as_index(n, "n", 2, 63), as_index(a, "a", 2)
     n_a = coprime_part(n, a)
     if a % (n // n_a) != 0:
         return False

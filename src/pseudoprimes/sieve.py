@@ -216,10 +216,7 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
 def _check_base_modulus(a: int, m: int = 1) -> tuple[int, int]:
     """a and m as ints; reject a base outside [2, 2**63), the integer domain
     of arith, or a modulus < 1."""
-    a, m = as_index(a, "base"), as_index(m, "modulus", 1)
-    if not 2 <= a < INT_DOMAIN:
-        raise ValueError("base must lie in [2, 2**63)")
-    return a, m
+    return as_index(a, "base", 2, 63), as_index(m, "modulus", 1)
 
 
 def _check_table(a: int, m: int) -> tuple[int, int]:

@@ -298,7 +298,7 @@ def _group_order_and_exponent(b: int) -> tuple[int, int]:
 
 def test_phi0_lambda0_arrays_match_scalar_to_2e4():
     hi = 2 * 10**4
-    phi0, lam0 = bulk.phi0_lambda0_arrays(hi)
+    phi0, lam0 = bulk.phi0_lambda0_arrays(bulk.spf_window(hi + 1))
     assert (phi0[0], lam0[0], phi0[1], lam0[1]) == (0, 0, 1, 1)
     for b in range(2, hi + 1):
         assert (phi0[b], lam0[b]) == _group_order_and_exponent(b), b
@@ -324,8 +324,9 @@ def test_tau_array_matches_scalar():
     rng = random.Random(9)
     hi = 10**6
     xs = [1, 2, 4, 2**19, 3**12, 720720, hi] + [rng.randrange(1, hi + 1) for _ in range(5000)]
-    got = bulk.tau_array(np.array(xs, dtype=np.int64)).tolist()
-    assert got == [pp.tau(x) for x in xs]
+    tau = bulk.tau_array(bulk.spf_window(hi + 1))
+    assert tau[:2].tolist() == [0, 1]
+    assert tau[xs].tolist() == [pp.tau(x) for x in xs]
 
 
 def test_arrays_past_the_first_short_chunk():
@@ -333,36 +334,43 @@ def test_arrays_past_the_first_short_chunk():
     # holds chunks that read values from two and three chunks back
     hi = 2**22 + 1000
     phi, lam = bulk.phi_lambda_arrays(hi)
-    phi0, lam0 = bulk.phi0_lambda0_arrays(hi)
-    tau = bulk.tau_array(np.arange(1, hi + 1))
+    spf = bulk.spf_window(hi + 1)
+    phi0, lam0 = bulk.phi0_lambda0_arrays(spf)
+    tau = bulk.tau_array(spf)
     rng = random.Random(10)
     ns = [n for c in (2**21, 3 * 2**20, 2**22) for n in range(c - 300, c + 301)]
     ns += [3**13, 1021**2] + [rng.randrange(2, hi + 1) for _ in range(2000)]
     for n in ns:
         f = pp.factor(n)
-        assert (phi[n], lam[n], tau[n - 1]) == (
+        assert (phi[n], lam[n], tau[n]) == (
             pp.euler_phi(f), pp.carmichael_lambda(f), pp.tau(f)), n
         assert (phi0[n], lam0[n]) == _group_order_and_exponent(n), n
     for hi, expected in ((0, [0]), (1, [0, 1]), (2, [0, 1, 1])):
         assert [a.tolist() for a in bulk.phi_lambda_arrays(hi)] == [expected, expected]
-        assert [a.tolist() for a in bulk.phi0_lambda0_arrays(hi)] == [expected, expected]
+        spf = bulk.spf_window(hi + 1)
+        assert [a.tolist() for a in bulk.phi0_lambda0_arrays(spf)] == [expected, expected]
+        assert bulk.tau_array(spf).tolist() == [0, 1, 2][: hi + 1]
 
 
 def test_bulk_arrays_are_int32_and_reject_indices_from_2_pow_31():
     phi, lam = bulk.phi_lambda_arrays(100)
-    phi0, lam0 = bulk.phi0_lambda0_arrays(100)
-    tau = bulk.tau_array(np.arange(1, 101))
-    arrays = (bulk.spf_window(100), phi, lam, phi0, lam0, tau)
+    spf = bulk.spf_window(101)
+    phi0, lam0 = bulk.phi0_lambda0_arrays(spf)
+    arrays = (spf, phi, lam, phi0, lam0, bulk.tau_array(spf))
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
-    # each raises before it allocates an array of 2**31 entries
-    with pytest.raises(ValueError):
+    # each raises before it allocates an array of 2**31 entries; the
+    # kernels that take a spf_window array inherit its bound
+    with pytest.raises(ValueError, match=r"^hi out of the supported 31-bit domain \(< 2\*\*31\)$"):
         bulk.spf_window(2**31)
     with pytest.raises(ValueError):
         bulk.phi_lambda_arrays(2**31 - 1)
-    with pytest.raises(ValueError):
-        bulk.phi0_lambda0_arrays(2**31 - 1)
-    with pytest.raises(ValueError):
-        bulk.tau_array(np.array([12, 2**31 - 1]))
+
+
+def test_spf_window_takes_every_size_from_0():
+    # numpy's own "negative dimensions" error no longer surfaces
+    assert bulk.spf_window(0).size == 0 and bulk.spf_window(1).tolist() == [0]
+    with pytest.raises(ValueError, match="^hi must be >= 0$"):
+        bulk.spf_window(-5)
 
 
 def test_bulk_arrays_reject_entries_below_1():
@@ -371,8 +379,6 @@ def test_bulk_arrays_reject_entries_below_1():
             bulk.coprime_part_array(np.array([4, bad]), np.array([6, 6]))
         with pytest.raises(ValueError):
             bulk.coprime_part_array(np.array([4, 6]), np.array([6, bad]))
-        with pytest.raises(ValueError):
-            bulk.tau_array(np.array([12, bad]))
 
 
 def test_capped_power_against_python_ints():

@@ -151,6 +151,35 @@ def test_c1_prints_numbers_past_the_digit_limit(capsys):
     assert rendered == sieve.format_fraction(value.numerator, value.denominator)
 
 
+def test_group_check_prints_numbers_past_the_digit_limit(capsys):
+    p = 9223372036854775783  # the largest prime below 2**63
+    code, out, _ = _capture(capsys, ["ordowski", "group-check", "--group", f"{p}:230"])
+    assert code == 0
+    *rows, last = out.splitlines()
+    report = density.check_group_bounds(density.AbelianPGroup(p, (230,)))
+    assert len(rows) == len(report.rows) == 231
+    row = re.compile(r"p=(\d+) j=(\d+) count=(\d+) ratio=(\d+)/(\d+) cap=(\d+)")
+    for line, (p_j, j, count, ratio, cap) in zip(rows, report.rows):
+        fields = [_parse_digits(x) for x in row.fullmatch(line).groups()]
+        assert fields == [p_j, j, count, ratio.numerator, ratio.denominator, cap], j
+    assert len(row.fullmatch(rows[-1])[3]) > 4300  # the count p**229
+    n_text, bound_text = re.fullmatch(r"N=(\d+/\d+) \S+ bound=(\d+/\d+) \S+ ok=true", last).groups()
+    assert [Fraction(*map(_parse_digits, x.split("/"))) for x in (n_text, bound_text)] == [
+        report.n_value, report.eq_bound]
+
+
+def test_group_spec_follows_the_numeric_flag_rule(capsys):
+    # p and each exponent parse as every other integer flag does
+    for spec in ("2:1_0", "\uff12:1", "2_0:1", "2:1,\u0663", "2:1.5"):
+        code, out, err = _capture(capsys, ["ordowski", "group-check", "--group", spec])
+        assert code == 2 and out == "" and "usage:" in err, spec
+    plain = _capture(capsys, ["ordowski", "group-check", "--group", "2:10"])
+    assert plain[0] == 0
+    assert _capture(capsys, ["ordowski", "group-check", "--group", "2:1e1"]) == plain
+    assert _capture(capsys, ["ordowski", "group-check", "--group", "2e0:1,1e1"]) == _capture(
+        capsys, ["ordowski", "group-check", "--group", "2:1,10"])
+
+
 @pytest.mark.parametrize(
     "call, argv",
     [

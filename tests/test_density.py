@@ -183,10 +183,11 @@ def test_density_functions_take_integers_only():
     lambda: pp.tail_bound(10.0, 20),
     lambda: pp.tail_bound(10, Fraction(20)),
     lambda: bulk.phi_lambda_arrays(10.0),
-    lambda: bulk.phi0_lambda0_arrays(10.0),
+    lambda: bulk.spf_window(10.0),
+    lambda: bulk.primes_upto(10.0),
     lambda: pp.sb_membership(20.0, 4),
 ], ids=["c1_partial", "union_density", "count_S", "tail_bound_lo", "tail_bound_hi",
-        "phi_lambda_arrays", "phi0_lambda0_arrays", "sb_membership"])
+        "phi_lambda_arrays", "spf_window", "primes_upto", "sb_membership"])
 def test_sizes_must_be_integers(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
@@ -311,6 +312,23 @@ def test_count_S_makes_one_powmod_call_per_row(monkeypatch):
     assert 0 < len(calls) <= isqrt(10**5) - 1
 
 
+def _count_sieves(monkeypatch) -> list:
+    calls = []
+    spf_window = bulk.spf_window
+    monkeypatch.setattr(bulk, "spf_window", lambda hi: calls.append(hi) or spf_window(hi))
+    return calls
+
+
+def test_count_S_sieves_once(monkeypatch):
+    # lambda0, the unit-order tables and the primes of each row s all read
+    # one smallest-prime array, to limit // 2
+    calls = _count_sieves(monkeypatch)
+    assert pp.count_S(10**5) == (62389, 92383)
+    assert calls == [10**5 // 2 + 1]
+    assert pp.count_S(10**6) == (625941, 932490)
+    assert calls[1:] == [10**6 // 2 + 1]
+
+
 def test_count_S_calls_no_factor(monkeypatch):
     def no_factor(*args):
         raise AssertionError("count_S factored a number")
@@ -333,7 +351,7 @@ def test_gcd_with_n_minus_1_reads_lambda0():
     # for x in {s, t}
     hi = 2 * 10**4
     lam = bulk.phi_lambda_arrays(hi)[1].tolist()
-    lam0 = bulk.phi0_lambda0_arrays(hi)[1].tolist()
+    lam0 = bulk.phi0_lambda0_arrays(bulk.spf_window(hi + 1))[1].tolist()
     pairs = 0
     for s in range(2, isqrt(hi) + 1):
         for t in range(s + 1, hi // s + 1):
@@ -377,7 +395,7 @@ def test_phi0_lambda0_arrays_match_two_coprime_passes_to_1e5():
     # tail_bound reads phi0 and lambda0 off one smallest-prime recurrence;
     # the two-pass form strips b's primes from phi(b) and lambda(b) by gcd
     phi, lam = bulk.phi_lambda_arrays(10**5)
-    phi0, lam0 = bulk.phi0_lambda0_arrays(10**5)
+    phi0, lam0 = bulk.phi0_lambda0_arrays(bulk.spf_window(10**5 + 1))
     b = np.arange(2, 10**5 + 1, dtype=np.int64)
     assert np.array_equal(phi0[2:], bulk.coprime_part_array(phi[2:], b))
     assert np.array_equal(lam0[2:], bulk.coprime_part_array(lam[2:], b))
@@ -411,6 +429,19 @@ def test_tail_bound_over_several_blocks_is_the_floored_term_sum():
         term = pp.tail_bound_term(b)
         floored += term.numerator * scale // term.denominator
     assert pp.tail_bound(lo, hi) == Fraction(floored, scale)
+
+
+def test_tail_bound_sieves_once(monkeypatch):
+    # tau, phi0 and lambda0 all read one smallest-prime array, to b_hi
+    calls = _count_sieves(monkeypatch)
+    lo, hi = 10, 10**5
+    scale = density.TAIL_SCALE
+    floored = 0
+    for b in range(lo + 1, hi + 1):
+        term = pp.tail_bound_term(b)
+        floored += term.numerator * scale // term.denominator
+    assert pp.tail_bound(lo, hi) == Fraction(floored, scale)
+    assert calls == [hi + 1]
 
 
 def test_tail_bound_guards():

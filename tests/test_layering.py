@@ -1,8 +1,9 @@
 """The package's modules import one another in fixed layers: each module
 reads only modules of a lower layer, so the import graph has no cycle; the
 test oracles share no kernel with the library above `arith`; the kernels kept
-as the tests' oracles have no caller in the library; and every name the
-benchmark's tracer wraps still exists where it looks."""
+as the tests' oracles have no caller in the library; the other array kernels
+of `bulk` build no sieve of their own; and every name the benchmark's tracer
+wraps still exists where it looks."""
 
 import ast
 import importlib.util
@@ -94,6 +95,16 @@ def test_oracle_only_kernels_have_no_library_caller():
         assert not _names_read(path) & ORACLE_ONLY, path.name
 
 
+def test_bulk_array_kernels_read_the_callers_sieve():
+    # a job builds one spf_window array and hands it to each kernel; only
+    # the oracle phi_lambda_arrays sieves for itself
+    tree = ast.parse((SRC / "bulk.py").read_text())
+    sieving = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "spf_window"}
+    assert sieving == {"phi_lambda_arrays"}
+
+
 def test_bulk_takes_only_as_index_from_arith():
     # the phi/lambda oracle shares no lambda(p**e) rule with carmichael_lambda
     imported = {alias.name for node in ast.walk(ast.parse((SRC / "bulk.py").read_text()))
@@ -116,8 +127,9 @@ GONE_CHECKS = {"_check_limit", "_check_b", "_check_n_base"}
 
 
 def test_size_floors_are_checked_only_in_as_index():
-    # every "x must be >= lo" message comes from arith.as_index, so a
-    # hand-written floor check cannot drift back in
+    # every "x must be >= lo" and "x out of the supported k-bit domain"
+    # message comes from arith.as_index, so a hand-written floor or domain
+    # check cannot drift back in
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text())
         defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
@@ -132,3 +144,4 @@ def test_size_floors_are_checked_only_in_as_index():
                 text = "".join(c.value for c in ast.walk(node)
                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
                 assert "must be >=" not in text, (path.name, node.lineno)
+                assert "-bit domain" not in text, (path.name, node.lineno)
