@@ -69,7 +69,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, log10, prod
 
 import numpy as np
 
@@ -98,6 +98,10 @@ _COUNT_CAP = 10**8
 _T_CHUNK = 1 << 22  # t values per chunk of one count_S row
 _C1_CAP = 10**5
 _TAIL_CAP = 2 * 10**7
+# check_group_bounds' rows times the digits of #G: each row holds numbers of
+# up to that many digits, so the output grows as lambda**2 digits; group-check
+# prints about half a byte per unit, some 50 MB at this cap
+_GROUP_TEXT_CAP = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +524,8 @@ class GroupBoundReport:
 def check_group_bounds(groups) -> GroupBoundReport:
     """Verify the order-count inequalities for an abelian group given as one
     AbelianPGroup or a sequence of p-components with distinct primes; N is
-    multiplicative over components."""
+    multiplicative over components.  When the rows times the digits of #G
+    pass _GROUP_TEXT_CAP, CapacityError is raised before any row is built."""
     if isinstance(groups, AbelianPGroup):
         groups = (groups,)
     try:
@@ -532,6 +537,9 @@ def check_group_bounds(groups) -> GroupBoundReport:
     primes = [g.p for g in components]
     if len(set(primes)) != len(primes):
         raise ValueError("components must have distinct primes")
+    digits = 1 + int(sum(sum(g.lambdas) * log10(g.p) for g in components))  # of #G
+    if sum(g.lambdas[-1] + 1 for g in components) * digits > _GROUP_TEXT_CAP:
+        raise CapacityError(f"group checks are capped at rows * digits of #G <= {_GROUP_TEXT_CAP}")
     rows = []
     for g in components:
         lam = g.lambdas[-1]

@@ -46,7 +46,12 @@ h = gcd(ord(a mod g_a), m).  A class containing a base-a pseudoprime must
 satisfy h | r-1 and g/g_a | a, and when g is even the class must contain
 some k whose coprime-to-2a part k' has Jacobi symbol (a/k') = +1.  All three
 conditions are decided exactly: the third is a finite check, because on
-numbers coprime to 2a the symbol (a/.) is periodic modulo 4a.
+numbers coprime to 2a the symbol (a/.) is periodic modulo 4a.  A verdict
+depends on r only through g, (r-1) mod h and, for even g, r/g1 mod t, with
+g1 and t fixed by g (see `_class_rule`).  So the rule is decided once per
+divisor g of m: `class_conditions` reads it for one class, and
+`_admissible_column` for every class mod m at once, which is the column
+that count tables and the empty-class scan print.
 """
 
 from __future__ import annotations
@@ -78,7 +83,10 @@ _TABLE_BOUND = 1 << 16  # table primes stay below it; so (b+1)**2 <= 2**32
 _ORDER_TABLE_CAP = 1 << 24
 _PLACES = 6  # decimals of format_fraction
 _TABLE_MOD_CAP = 10**5  # a count table holds one entry per class
-_SCAN_MOD_CAP = 10**3  # scan_empty_classes visits about max_mod**2 / 2 classes
+# scan_empty_classes lists about max_mod**2 / 2 classes, so its output, not
+# its time, sets this cap: at a = 2 and limit 10**6, max_mod 1000 lists
+# 361,150 empty classes in under a second, and max_mod 5000 would list 11.5 M
+_SCAN_MOD_CAP = 10**3
 _INGEST_CHUNK = 1 << 14  # lines per ingest_psp_list parse; about 2 MB at peak
 
 
@@ -152,36 +160,50 @@ class ClassConditionReport:
         )
 
 
-def _jacobi_holds(a: int, r: int, m: int) -> bool:
-    """Whether some k = r (mod m) has (a / k') = +1, k' the part of k coprime
-    to 2a.
+# The Jacobi rule of a g whose every class holds the condition, or where it
+# does not apply: chi(r/1 mod 1) = chi(0) = +1 for every r.
+_EVERY_CLASS_HOLDS = (1, 1, lambda x: 1)
 
-    Write k = Q k' with Q made of the primes q | 2a.  Where v_q(r) < v_q(m),
-    every k in the class has v_q(k) = v_q(r); any other q is free, with
-    v_q(k) >= v_q(m).  So g = gcd(Q, m) is the same for every k, and
-    k' = (r/g) u^-1 (mod m/g) where u = Q/g runs over the products of the
-    free primes; nothing else constrains k' but gcd(k', 2a) = 1.
+
+def _class_rule(a: int, g: int, m: int, a_factors) -> tuple:
+    """What the verdicts on the classes r mod m with gcd(r, m) = g share:
+    (g_a, h, cond_u, (g1, t, chi)), for a_factors = factor(a).factors, which
+    is read only when g is even.  Such a class has cond_h exactly when
+    h | r-1, and holds the Jacobi condition (when g is even) exactly when
+    chi(r/g1 mod t) = +1.  Where no class of g can fail it, the rule is
+    _EVERY_CLASS_HOLDS.
+
+    Write k = Q k' with Q made of the primes q | 2a, and let m_2a be the part
+    of m made of those primes.  Where v_q(r) < v_q(m), every k in the class
+    has v_q(k) = v_q(r); any other q is free, with v_q(k) >= v_q(m).  So
+    g1 = gcd(Q, m) = gcd(g, m_2a) is the same for every k, q is free exactly
+    when q does not divide m_2a/g1, and k' = (r/g1) u^-1 (mod m/g1) where
+    u = Q/g1 runs over the products of the free primes; nothing else
+    constrains k' but gcd(k', 2a) = 1.
 
     On such k', (a / k') = chi(k') for the primitive character chi of
     conductor f = |disc Q(sqrt(a0))|, a0 the squarefree part of a.  The class
-    fixes k' only modulo t = gcd(m/g, 4a).  If f does not divide t, chi takes
-    both signs there.  Otherwise chi(k') = chi(r/g) chi(u), which is +1 for
-    some u unless chi(r/g) = -1 and chi(q) = +1 for every free q.
+    fixes k' only modulo t = gcd(m_2a/g1, 4a).  If f does not divide t, chi
+    takes both signs there.  Otherwise chi(k') = chi(r/g1) chi(u), which is
+    +1 for some u unless chi(r/g1) = -1 and chi(q) = +1 for every free q.
     """
-    a_factors = factor(a).factors
-    m_2a = m // coprime_part(m, 2 * a)  # the part of m made of primes of 2a
-    g = gcd(r, m_2a)
-    t = gcd(m_2a // g, 4 * a)
+    g_a = coprime_part(g, a)
+    shared = g_a, gcd(multiplicative_order(a, g_a), m), a % (g // g_a) == 0  # g_a, h, cond_u
+    if g % 2:
+        return *shared, _EVERY_CLASS_HOLDS
+    m_2a = m // coprime_part(m, 2 * a)
+    g1 = gcd(g, m_2a)
+    t = gcd(m_2a // g1, 4 * a)
     a0 = prod(p for p, e in a_factors if e % 2)
     f = a0 if a0 % 4 == 1 else 4 * a0
-    if t % f:
-        return True
 
     def chi(x: int) -> int:  # x coprime to f; x + f is odd when x is even
         return jacobi(a0, x if x % 2 else x + f)
 
-    free = [q for q in {2, *(p for p, _ in a_factors)} if (m_2a // g) % q]
-    return chi(r // g % t) == 1 or any(chi(q) == -1 for q in free)
+    free = [q for q in {2, *(p for p, _ in a_factors)} if (m_2a // g1) % q]
+    if t % f or any(chi(q) == -1 for q in free):
+        return *shared, _EVERY_CLASS_HOLDS
+    return *shared, (g1, t, chi)
 
 
 def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
@@ -196,17 +218,34 @@ def class_conditions(a: int, r: int, m: int) -> ClassConditionReport:
     if not 0 <= r < m:
         raise ValueError("need 0 <= r < m")
     g = gcd(r, m)  # r = 0 gives g = m
-    g_a = coprime_part(g, a)
-    h = gcd(multiplicative_order(a, g_a), m)
-    cond_h = (r - 1) % h == 0
-    cond_u = a % (g // g_a) == 0
+    a_factors = factor(a).factors if g % 2 == 0 else ()  # read for even g only
+    g_a, h, cond_u, (g1, t, chi) = _class_rule(a, g, m, a_factors)
     if g % 2 == 1:
         cj = JacobiCondition.NOT_APPLICABLE
-    elif _jacobi_holds(a, r, m):
+    elif chi(r // g1 % t) == 1:
         cj = JacobiCondition.HOLDS
     else:
         cj = JacobiCondition.FAILS
-    return ClassConditionReport(a, r, m, g, g_a, h, cond_h, cond_u, cj)
+    return ClassConditionReport(a, r, m, g, g_a, h, (r - 1) % h == 0, cond_u, cj)
+
+
+def _admissible_column(a: int, m: int) -> np.ndarray:
+    """class_conditions(a, r, m).admissible for every r in [0, m), as one
+    bool array: each divisor g of m reads its _class_rule once, tests
+    h | r-1 on all its classes in one vector pass, and calls chi once per
+    distinct r/g1 mod t."""
+    a, m = _check_base_modulus(a, m)
+    a_factors = factor(a).factors
+    gs = np.gcd(np.arange(m), m)  # gcd(0, m) = m
+    out = np.zeros(m, dtype=bool)
+    for g in set(gs.tolist()):  # the divisors of m
+        _, h, cond_u, (g1, t, chi) = _class_rule(a, g, m, a_factors)
+        r = np.flatnonzero(gs == g)
+        r = r[cond_u & ((r - 1) % h == 0)]
+        keys = (r // g1 % t).tolist()
+        holds = {x: chi(x) == 1 for x in set(keys)}
+        out[r[[holds[x] for x in keys]]] = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +606,9 @@ def scan_empty_classes(a: int, max_mod: int, limit: int) -> list[EmptyClass]:
     out: list[EmptyClass] = []
     for m in range(2, max_mod + 1):
         tally = np.bincount((values % np.uint64(m)).astype(np.int64), minlength=m)
-        for r in range(m):
-            if tally[r] == 0:
-                report = class_conditions(a, r, m)
-                out.append(EmptyClass(m, r, not report.admissible))
+        empty = np.flatnonzero(tally == 0)
+        refuted = ~_admissible_column(a, m)[empty]
+        out.extend(map(EmptyClass, [m] * empty.size, empty.tolist(), refuted.tolist()))
     return out
 
 
@@ -687,9 +725,9 @@ def emit_table(t: CountTable, format: str = "csv") -> str:
     if single:
         header += ("fraction",)
     totals = {lim: t.total(lim) for lim in t.limits}
+    refuted = (~_admissible_column(t.base, t.modulus)).tolist()
     rows = []
-    for r in range(t.modulus):
-        rejected = not class_conditions(t.base, r, t.modulus).admissible
+    for r, rejected in enumerate(refuted):
         for lim in t.limits:
             count = t.count(r, lim)
             row = (t.base, t.modulus, r, lim, count, rejected)

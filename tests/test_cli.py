@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,6 +168,33 @@ def test_group_check_prints_numbers_past_the_digit_limit(capsys):
     n_text, bound_text = re.fullmatch(r"N=(\d+/\d+) \S+ bound=(\d+/\d+) \S+ ok=true", last).groups()
     assert [Fraction(*map(_parse_digits, x.split("/"))) for x in (n_text, bound_text)] == [
         report.n_value, report.eq_bound]
+
+
+@pytest.mark.parametrize(
+    "spec, size, digest",
+    [
+        ("2:8000", 9906736, "41476e178e5e719176d51a406660f44011fdec653442b0ce08cd46472fee5509"),
+        ("9223372036854775783:230", 523954,
+         "98fc872877159ead962c67dffb6b796eb6a5a772b03964c2b232b49f057b4f42"),
+    ],
+)
+def test_group_check_below_its_cap_prints_the_pinned_text(capsys, spec, size, digest):
+    # the length and SHA-256 digest of the text printed before the cap existed
+    code, out, _ = _capture(capsys, ["ordowski", "group-check", "--group", spec])
+    assert code == 0 and len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_group_check_refuses_a_huge_exponent_before_building_rows(capsys, monkeypatch):
+    # 2:1e6 would print about 1.5e11 bytes; a row built fails the test at once
+    def no_row(j, g):
+        raise AssertionError(f"built row {j}")
+
+    monkeypatch.setattr(density, "group_order_count", no_row)
+    start = time.perf_counter()
+    code, out, err = _capture(capsys, ["ordowski", "group-check", "--group", "2:1e6"])
+    assert code == 3 and out == "" and "capacity guard" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_group_spec_follows_the_numeric_flag_rule(capsys):

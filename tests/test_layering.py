@@ -1,7 +1,8 @@
 """The package's modules import one another in fixed layers: each module
 reads only modules of a lower layer, so the import graph has no cycle; the
 test oracles share no kernel with the library above `arith`; the kernels kept
-as the tests' oracles have no caller in the library; the other array kernels
+as the tests' oracles have no caller in the library, and the per-class verdict
+`class_conditions` none but the CLI; the other array kernels
 of `bulk` build no sieve of their own; and every name the benchmark's tracer
 wraps still exists where it looks."""
 
@@ -93,6 +94,15 @@ def _names_read(path: Path) -> set[str]:
 def test_oracle_only_kernels_have_no_library_caller():
     for path in SRC.glob("*.py"):
         assert not _names_read(path) & ORACLE_ONLY, path.name
+
+
+def test_class_conditions_has_no_library_caller_but_the_cli():
+    # emit_table and scan_empty_classes read sieve._admissible_column, which
+    # decides each divisor of m once, so no per-class verdict loop comes back;
+    # __init__ only re-exports the name
+    for path in SRC.glob("*.py"):
+        if path.stem not in ("cli", "__init__"):
+            assert "class_conditions" not in _names_read(path), path.name
 
 
 def test_bulk_array_kernels_read_the_callers_sieve():

@@ -136,6 +136,25 @@ def test_refuted_classes_hold_no_pseudoprime_to_1e6():
                     assert tally[r] == 0, (a, r, m)
 
 
+# small bases, square-free or not, and the large 2**61 - 1 (a prime) and 3 * 2**40
+COLUMN_BASES = (2, 3, 5, 6, 7, 10, 12, 15, 18, 20, 45, 2**61 - 1, 3 * 2**40)
+
+
+def test_admissible_column_matches_class_conditions():
+    # the column decides each divisor g of m once, class_conditions one class
+    for a in COLUMN_BASES:
+        for m in range(1, 151):
+            expected = [pp.class_conditions(a, r, m).admissible for r in range(m)]
+            assert sieve._admissible_column(a, m).tolist() == expected, (a, m)
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_admissible_column_matches_class_conditions_at_mod_1e5(a):
+    m = 10**5
+    expected = [pp.class_conditions(a, r, m).admissible for r in range(m)]
+    assert sieve._admissible_column(a, m).tolist() == expected
+
+
 @pytest.mark.parametrize("a, r, m", [(3, 10, 24), (3, 14, 24), (5, 6, 20), (5, 14, 20)])
 def test_jacobi_fails_where_the_search_ran_out(a, r, m):
     # the bounded search ran out on each of these and left it UNKNOWN
