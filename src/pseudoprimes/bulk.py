@@ -5,8 +5,11 @@ each small prime power, and arrays of multiplicative functions and of the
 order and exponent of G_n (the units mod n of order coprime to n).
 
 These back the residue-class counting and density modules.  The
-exponentiation is vectorized while every modulus is below 2**32, so products
-of two reduced residues fit a uint64, and runs scalar `pow` otherwise.  The
+exponentiation is one left-to-right ladder over uint64 arrays while every
+modulus is below 2**32, so products of two reduced residues fit a uint64,
+and there are at least _VECTOR_MIN moduli; it runs scalar `pow` otherwise.
+For a scalar base the ladder starts from the exact capped_power entry of
+the exponent's leading bits, so small exponents cost one gather.  The
 arrays indexed by n all come from one smallest-prime recurrence, _spf_runs,
 over a spf_window array the caller builds once and hands to every kernel
 that reads it (unit_order_tables, phi0_lambda0_arrays, tau_array), so one
@@ -26,6 +29,12 @@ from .arith import as_index
 
 VECTOR_MOD_LIMIT = 1 << 32
 POWER_CAP = 1 << 63  # capped_power's ceiling
+# Fewer moduli than this run scalar pow: each ladder bit is a few numpy
+# passes of about 1 us fixed cost each.  On a 2-core x86-64 box (numpy 2.4)
+# the two paths tie near 32 moduli for exponent arrays of 9-32 bits and near
+# 8-16 for a scalar exponent; the recorded calls of one psp-scan and one
+# divisor-sieve pass take 0.068-0.070 s for any cutoff from 32 to 128.
+_VECTOR_MIN = 64
 _RUN = 1 << 20  # entries per _spf_runs chunk; bounds its temporaries
 
 
@@ -60,26 +69,60 @@ def spf_window(hi: int) -> np.ndarray:
 
 
 def powmod_vector(base, exponent, modulus: np.ndarray) -> np.ndarray:
-    """Elementwise base**exponent % modulus (every modulus >= 1) as uint64.
+    """Elementwise base**exponent % modulus (bases and exponents >= 0, every
+    modulus >= 1) as uint64.
 
     base and exponent may each be a scalar or an array; a scalar is
-    broadcast to the modulus's shape, so an empty modulus makes no pass.
-    Vectorized while every modulus is below VECTOR_MOD_LIMIT, else scalar.
+    broadcast to the modulus's shape.  Fewer than _VECTOR_MIN moduli, or any
+    modulus of VECTOR_MOD_LIMIT or more, run scalar `pow`.  Otherwise one
+    left-to-right ladder runs over the exponent bits below a start prefix:
+    for a scalar base a >= 2 the prefix is the largest e >> j with
+    a**(e >> j) < 2**63 for every exponent e, read exactly off the
+    capped_power table (so an exponent with a**e < 2**63 costs one gather and
+    one `%`); array bases and bases 0 and 1 start from 1 % modulus.  Each
+    bit below squares, then multiplies by b % modulus where the bit is set:
+    by bit*(b - 1) + 1 for an exponent array, exact in uint64 wraparound
+    even for b = 0, and under a Python branch for a scalar exponent.
     """
     mod = np.asarray(modulus, dtype=np.uint64)
-    if mod.size and int(mod.max()) >= VECTOR_MOD_LIMIT:
+    if mod.size < _VECTOR_MIN or int(mod.max()) >= VECTOR_MOD_LIMIT:
         args = np.broadcast_arrays(base, exponent, mod)
         return np.fromiter(map(pow, *(x.tolist() for x in args)), np.uint64, mod.size)
-    e = np.broadcast_to(np.asarray(exponent, dtype=np.uint64), mod.shape).copy()
-    b = (np.asarray(base, dtype=np.uint64) % mod if np.ndim(base) else
-         np.full(mod.shape, base, dtype=np.uint64) % mod)
-    result = (mod != 1).astype(np.uint64)  # 1 % mod
-    while True:
-        result = np.where(e & 1, result * b % mod, result)
-        e >>= 1
-        if not e.any():
-            return result
-        b = b * b % mod
+    scalar = not np.ndim(exponent)
+    e = int(exponent) if scalar else np.asarray(exponent, dtype=np.uint64)
+    top = e if scalar else int(e.max())
+    if np.ndim(base) or base < 2:
+        b = np.asarray(base, dtype=np.uint64) % mod
+        j = top.bit_length()
+        r = (mod != 1).astype(np.uint64)  # 1 % mod
+    else:
+        b = np.uint64(base) % mod
+        powers, fit = _capped_powers(int(base))
+        j = max(top.bit_length() - fit.bit_length(), 0)
+        j += (top >> j) > fit
+        r = powers[e >> j] % mod
+    if scalar:
+        for i in range(j - 1, -1, -1):
+            r = r * r % mod
+            if e >> i & 1:
+                r = r * b % mod
+        return r
+    b_1 = b - np.uint64(1)  # 2**64 - 1 where b = 0, so 1 * b_1 + 1 wraps to 0
+    for i in range(j - 1, -1, -1):
+        r = r * r % mod
+        r = r * ((e >> np.uint64(i) & np.uint64(1)) * b_1 + np.uint64(1)) % mod
+    return r
+
+
+def _capped_powers(a: int) -> tuple[np.ndarray, int]:
+    """(powers, fit) for an int a >= 2: powers[e] = min(a**e, 2**63) for
+    e < 64 as uint64, and fit the largest e with a**e < 2**63."""
+    powers = np.full(64, POWER_CAP, dtype=np.uint64)
+    p, e = 1, 0
+    while p < POWER_CAP:
+        powers[e] = p
+        p, e = p * a, e + 1
+    return powers, e - 1
 
 
 def capped_power(a: int, g):
@@ -91,15 +134,10 @@ def capped_power(a: int, g):
     every x <= 2**63.  The callers' bounds: the scan's cofactor lemma asks
     a**g >= q for a prime cofactor q < 2**32; count_S asks s**g > t for
     t <= 5 * 10**7, and reads s**g mod t off the value where it is below
-    2**63."""
+    2**63; powmod_vector starts its ladder from the table's exact entries."""
     if a < 2:
         raise ValueError("capped_power needs a >= 2")
-    powers = np.full(64, POWER_CAP, dtype=np.uint64)
-    p, e = 1, 0
-    while p < POWER_CAP:
-        powers[e] = p
-        p, e = p * a, e + 1
-    return powers[np.minimum(g, 63)]
+    return _capped_powers(a)[0][np.minimum(g, 63)]
 
 
 def _powers(g: int, count: int, q: int) -> np.ndarray:

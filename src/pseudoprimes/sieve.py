@@ -729,7 +729,7 @@ def emit_table(t: CountTable, format: str = "csv") -> str:
     rows = []
     for r, rejected in enumerate(refuted):
         for lim in t.limits:
-            count = t.count(r, lim)
+            count = t.counts.get((r, lim), 0)  # r and lim are in range
             row = (t.base, t.modulus, r, lim, count, rejected)
             rows.append(row + (format_fraction(count, totals[lim]),) if single else row)
     return render_rows(header, rows, format)

@@ -87,6 +87,37 @@ def test_powmod_vector_matches_pow():
     assert bulk.powmod_vector(empty, empty, empty).tolist() == []
 
 
+@pytest.mark.parametrize("size", [bulk._VECTOR_MIN - 1, bulk._VECTOR_MIN, 300])
+def test_powmod_vector_ladder_matches_pow(size):
+    # sizes on both sides of the scalar-pow cutoff; below 2**32 the ladder
+    # starts from the largest exponent prefix with a**prefix < 2**63
+    rng = random.Random(size)
+    mod = [1, 2, 2**32 - 1] + [rng.randrange(1, 2**32) for _ in range(size - 3)]
+    mod = np.array(mod, dtype=np.uint64)
+    bases = [0, 1, 2, 3, 2**32 - 1, 2**63 - 1]
+    edges = []
+    for a in bases[2:]:
+        fit = max(e for e in range(64) if a**e < 2**63)
+        edges += [fit, fit + 1]
+    exponents = [0, 1, 2**32 - 1, 2**32 + 1, 2**64 - 1] + edges + [
+        rng.randrange(64) for _ in range(3)] + [rng.randrange(2**64) for _ in range(3)]
+    arrays = [np.full(size, e, dtype=np.uint64) for e in exponents] + [
+        np.array([exponents[i % len(exponents)] for i in range(size)], dtype=np.uint64),
+        np.array([rng.randrange(2**k) for k in rng.choices(range(1, 65), k=size)],
+                 dtype=np.uint64)]
+    array_base = np.array([rng.randrange(2**64) for _ in range(size)], dtype=np.uint64)
+    for base in bases + [array_base]:
+        each = array_base.tolist() if np.ndim(base) else [base] * size
+        for e in exponents:
+            got = bulk.powmod_vector(base, e, mod)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [pow(a, e, m) for a, m in zip(each, mod.tolist())], e
+        for exp in arrays:
+            got = bulk.powmod_vector(base, exp, mod)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [pow(*t) for t in zip(each, exp.tolist(), mod.tolist())]
+
+
 @pytest.mark.parametrize("moduli", [[], [1], [7, 2**32 - 1], [5, 2**32, 2**63 - 25]],
                          ids=["empty", "one", "vector", "scalar-pow"])
 def test_powmod_vector_scalar_exponent_broadcasts(moduli):
