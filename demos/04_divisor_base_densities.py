@@ -2,9 +2,13 @@
 """The sets T_b = {ab : a >= 2, a^(ab) == a (mod ab)} and their exact densities.
 
 Each T_b is a finite union of residue classes (one per unit mod b whose order
-is coprime to b) minus the single point b.  The demo prints the class systems
-for small b, exact densities, the union density by a walk over CRT coordinates,
-partial sums of the density series, and member counts below powers of ten.
+is coprime to b) minus the single point b.  A unit a0 of order d gives the class
+b*a0 (mod b^2) joined with 1 (mod d); the library finds each order as the least
+divisor d of lambda0 (the part of lambda(b) prime to b) with a0^d == 1 (mod b),
+and holds the classes as two integer columns, moduli and residues.  The demo
+prints the class systems for small b, exact densities, the union density by a
+walk over CRT coordinates, partial sums of the density series, and member
+counts below powers of ten.
 """
 
 import pseudoprimes as pp
@@ -12,7 +16,7 @@ import pseudoprimes as pp
 print("class systems:")
 for b in range(2, 11):
     system = pp.sb_class_system(b)
-    classes = ", ".join(f"{c.r} (mod {c.m})" for c in system.classes)
+    classes = ", ".join(f"{r} (mod {m})" for m, r in zip(system.moduli, system.residues))
     print(f"  T_{b:<2} density {str(pp.sb_density(b)):>6}: {classes}")
 
 print("\nunion density of T_2 .. T_k:")

@@ -99,8 +99,7 @@ def _psp_class_check(args: argparse.Namespace) -> str:
 
 
 def _psp_empty_classes(args: argparse.Namespace) -> str:
-    found = sieve.scan_empty_classes(args.base, args.mod, args.limit)
-    rows = [(e.modulus, e.residue, e.predicted_by_lemma) for e in found]
+    rows = sieve.scan_empty_classes(args.base, args.mod, args.limit)
     return sieve.render_rows(("modulus", "class", "predicted_by_lemma"), rows, args.format)
 
 

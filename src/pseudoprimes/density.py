@@ -21,6 +21,14 @@ C_(q**v_q(p-1)).  _gb_components lists those from one factor(b) and one
 factor(p - 1) per odd p | b, with no lambda(p**e) and no filter over the
 whole unit group.
 
+sb_class_system lists the classes themselves, apart from _gb_components so
+that each listing checks the other.  An a0 in [1, b) is in G_b exactly when
+a0**d == 1 (mod b) for some divisor d of lambda0, the part of lambda(b)
+prime to b, and the least such d is ord(a0).  So one powmod_vector per
+divisor, ascending, places every a0 at its order, and one vector CRT step
+per divisor builds its classes.  A ClassSystem holds them as two aligned
+integer columns, moduli and residues.
+
 The per-b tail term tau(lambda0) phi0 / (lambda0 b**2), where lambda0 and phi0
 are the exponent and the order of G_b, is the group inequality
 N(G) <= tau(lambda(G)) #G / lambda(G) on G_b, divided by b**2.  sb_density
@@ -77,17 +85,14 @@ from . import bulk
 from .arith import (
     Factorization,
     _lambda_prime_power,
-    as_factorization,
     as_index,
     carmichael_lambda,
     coprime_part,
     divisors,
     factor,
     is_prime,
-    multiplicative_order,
 )
 from .errors import CapacityError
-from .sieve import ResidueClass
 
 TAIL_SCALE = 10**18
 _TAIL_BLOCK = 1 << 16  # values of b per block of the floor sum
@@ -165,39 +170,48 @@ def unit_order_counts(b: int) -> dict:
 @dataclass(frozen=True)
 class ClassSystem:
     """A finite union of pairwise disjoint residue classes minus finitely
-    many excluded points."""
+    many excluded points.  The classes are two aligned columns: class i is
+    residues[i] mod moduli[i], sorted by (modulus, residue)."""
 
-    classes: tuple[ResidueClass, ...]
+    moduli: tuple[int, ...]
+    residues: tuple[int, ...]
     excluded_points: tuple[int, ...]
 
     def contains(self, n: int) -> bool:
+        n = as_index(n)
         if n in self.excluded_points:
             return False
-        return any(c.contains(n) for c in self.classes)
+        return any(n % m == r for m, r in zip(self.moduli, self.residues))
 
     @property
     def density(self) -> Fraction:
         """Sum of 1/m over the classes, as one fraction over their lcm."""
-        period = lcm(*(c.m for c in self.classes))
-        return Fraction(sum(period // c.m for c in self.classes), period)
+        period = lcm(*self.moduli)
+        return Fraction(sum(period // m for m in self.moduli), period)
 
 
 def sb_class_system(b: int) -> ClassSystem:
-    """The residue classes making up T_b, one per a0 in G_b: a0**lambda0 == 1
-    (mod b), lambda0 the part of lambda(b) prime to b, found apart from
-    _gb_components so each checks the other.  The class is n == b*a0 (mod b**2)
-    and n == 1 mod ord(a0), one CRT step.  The point n = b (a = 1) is excluded."""
+    """The residue classes making up T_b, one per a0 in G_b, found apart
+    from _gb_components so each checks the other.  An a0 in [1, b) is in
+    G_b exactly when a0**d == 1 (mod b) for some d | lambda0, lambda0 the
+    part of lambda(b) prime to b, and the least such d is ord(a0): one
+    powmod_vector per divisor d, ascending, over the a0 not yet placed.
+    The class is n == b*a0 (mod b**2) and n == 1 (mod d), one CRT step:
+    n = b*a0 + b**2 * ((1 - b*a0) * (b**2)**-1 mod d), below
+    m = b**2 * d < 10**15, so in uint64.  The point n = b (a = 1) is
+    excluded."""
     b = as_index(b, "b", 2)
     if b > _CLASS_SYSTEM_CAP:
         raise CapacityError(f"sb_class_system capped at b <= {_CLASS_SYSTEM_CAP}")
-    lam0 = coprime_part(carmichael_lambda(factor(b)), b)
-    lam0_f = as_factorization(lam0)
-    classes = []
-    for a0 in range(1, b):
-        if pow(a0, lam0, b) == 1:
-            d = multiplicative_order(a0, b, lam0_f)
-            classes.append(ResidueClass(b * a0, b * b).intersect(ResidueClass(1 % d, d)))
-    return ClassSystem(tuple(sorted(classes, key=lambda c: (c.m, c.r))), (b,))
+    b2, live = b * b, np.arange(1, b, dtype=np.uint64)
+    moduli, residues = [], []
+    for d in divisors(coprime_part(carmichael_lambda(factor(b)), b)):
+        hit = bulk.powmod_vector(live, d, np.full(live.size, b, dtype=np.uint64)) == 1
+        x, live = live[hit] * np.uint64(b), live[~hit]
+        t = (d - (x - 1) % d) * pow(b2, -1, d) % d
+        residues += np.sort(x + t * b2).tolist()
+        moduli += [b2 * d] * x.size
+    return ClassSystem(tuple(moduli), tuple(residues), (b,))
 
 
 def sb_membership(n: int, b: int) -> bool:
@@ -240,7 +254,8 @@ def union_density(k: int) -> Fraction:
     k = as_index(k, "k", 2)
     if k > _UNION_CAP:
         raise CapacityError(f"union_density capped at k <= {_UNION_CAP}")
-    classes = sorted({(c.m, c.r) for b in range(2, k + 1) for c in sb_class_system(b).classes})
+    systems = map(sb_class_system, range(2, k + 1))
+    classes = sorted({c for s in systems for c in zip(s.moduli, s.residues)})
     primes = [p for p in range(2, k + 1) if is_prime(p)]
     # powers[c][i]: the power of primes[i] in the modulus of class c, and
     # ends[c]: the index past the last coordinate that class c fixes

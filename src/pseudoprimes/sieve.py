@@ -61,6 +61,7 @@ import json
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,7 +109,7 @@ class ResidueClass:
             raise ValueError("need 0 <= r < m")
 
     def contains(self, n: int) -> bool:
-        return n % self.m == self.r
+        return as_index(n) % self.m == self.r
 
     def intersect(self, other: "ResidueClass") -> "ResidueClass | None":
         """CRT: the intersection is empty or a single progression mod lcm."""
@@ -536,11 +537,11 @@ def enumerate_even_psp(limit: int) -> list[int]:
     P = (2k)^-1 (mod lcm(L_k, p0)) in (largest prime of k, limit/(2k)] by
     powmod_vector(2, 2k-1, P) == 1 and then is_prime(P).
 
-    On a 2-core box it takes 0.08 s to 10**8, 1.5 s to 4*10**9 and 32 s to
-    10**11 (79 values); the P tested grow as limit/490, so 10**12 takes
-    minutes and the paper's 10**16 is out of reach.  limit >= 2**63 raises
-    CapacityError, and so does limit >= 2**49, where the order table would
-    outgrow memory.
+    On a 2-core box (one fresh process each) it takes 0.04 s to 10**8,
+    0.4 s to 4*10**9 and 11.6 s to 10**11 (79 values); the P tested grow as
+    limit/490, so 10**12 takes minutes and the paper's 10**16 is out of
+    reach.  limit >= 2**63 raises CapacityError, and so does limit >= 2**49,
+    where the order table would outgrow memory.
     """
     limit = as_index(limit, "limit", 0)
     _check_capacity(limit + 1)
@@ -588,8 +589,7 @@ def _even_psp_tops(k: int, lk: int, top: int, limit: int) -> list[int]:
 # empty-class scan
 
 
-@dataclass(frozen=True)
-class EmptyClass:
+class EmptyClass(NamedTuple):
     modulus: int
     residue: int
     predicted_by_lemma: bool

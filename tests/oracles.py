@@ -66,6 +66,24 @@ def unit_order_census(b: int) -> dict:
     return dict(sorted(orders.items()))
 
 
+def sb_classes(b: int) -> list[tuple[int, int]]:
+    """T_b's classes as (m, r), sorted: one per unit a0 mod b with
+    a0**lambda0 == 1 (mod b), lambda0 the part of lambda(b) prime to b, and
+    with d = ord(a0) the class n == b*a0 (mod b**2), n == 1 (mod d), joined
+    by the two-modulus CRT formula r = sum of r_i * M_i * (M_i**-1 mod m_i)
+    over the moduli m_i, with M_i the other modulus."""
+    lam0 = arith.coprime_part(arith.carmichael_lambda(b), b)
+    lam0_f = arith.as_factorization(lam0)
+    classes = []
+    for a0 in range(1, b):
+        if pow(a0, lam0, b) == 1:
+            d = arith.multiplicative_order(a0, b, lam0_f)
+            m = b * b * d
+            r = b * a0 * d * pow(d, -1, b * b) + (1 % d) * b * b * pow(b * b, -1, d)
+            classes.append((m, r % m))
+    return sorted(classes)
+
+
 def union_density(k: int) -> Fraction:
     """Density of T_2 u ... u T_k, counted by the definition over one full
     period.

@@ -53,14 +53,14 @@ def test_census_partitions_phi_to_5000():
 
 def test_class_system_examples():
     s2 = pp.sb_class_system(2)
-    assert [(c.r, c.m) for c in s2.classes] == [(2, 4)]
+    assert (s2.moduli, s2.residues) == ((4,), (2,))
     assert s2.excluded_points == (2,)
 
     s3 = pp.sb_class_system(3)
-    assert [(c.r, c.m) for c in s3.classes] == [(3, 9), (15, 18)]
+    assert (s3.moduli, s3.residues) == ((9, 18), (3, 15))
 
     s4 = pp.sb_class_system(4)
-    assert [(c.r, c.m) for c in s4.classes] == [(4, 16)]
+    assert (s4.moduli, s4.residues) == ((16,), (4,))
 
 
 def test_class_system_density_equals_formula_to_2000():
@@ -69,11 +69,22 @@ def test_class_system_density_equals_formula_to_2000():
 
 
 def test_class_system_classes_are_disjoint():
+    # two classes r1 mod m1 and r2 mod m2 meet exactly when
+    # r1 == r2 (mod gcd(m1, m2))
     for b in (2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 21, 35, 63, 100):
-        classes = pp.sb_class_system(b).classes
-        for i, c1 in enumerate(classes):
-            for c2 in classes[i + 1 :]:
-                assert c1.intersect(c2) is None
+        system = pp.sb_class_system(b)
+        classes = list(zip(system.moduli, system.residues))
+        for i, (m1, r1) in enumerate(classes):
+            for m2, r2 in classes[i + 1 :]:
+                assert (r1 - r2) % gcd(m1, m2) != 0
+
+
+def test_class_system_matches_oracle():
+    # the class lists themselves, against scalar pow and
+    # multiplicative_order with the CRT written out
+    for b in [*range(2, 301), 4096, 6561, 30030, 55440, 65536, 99991]:
+        system = pp.sb_class_system(b)
+        assert list(zip(system.moduli, system.residues)) == oracles.sb_classes(b), b
 
 
 def test_membership_examples():
@@ -120,10 +131,9 @@ def test_sb_density_counts_one_period():
     # exact density == member count over one full period of the class system
     for b in range(2, 40):
         system = pp.sb_class_system(b)
-        period = 1
-        for c in system.classes:
-            period = period // gcd(period, c.m) * c.m
-        members = sum(1 for n in range(period) if any(c.contains(n) for c in system.classes))
+        period = lcm(*system.moduli)
+        classes = list(zip(system.moduli, system.residues))
+        members = sum(1 for n in range(period) if any(n % m == r for m, r in classes))
         assert Fraction(members, period) == pp.sb_density(b)
 
 
@@ -186,8 +196,11 @@ def test_density_functions_take_integers_only():
     lambda: bulk.spf_window(10.0),
     lambda: bulk.primes_upto(10.0),
     lambda: pp.sb_membership(20.0, 4),
+    lambda: pp.sb_class_system(2).contains(6.0),
+    lambda: pp.sb_class_system(2).contains("6"),
 ], ids=["c1_partial", "union_density", "count_S", "tail_bound_lo", "tail_bound_hi",
-        "phi_lambda_arrays", "spf_window", "primes_upto", "sb_membership"])
+        "phi_lambda_arrays", "spf_window", "primes_upto", "sb_membership",
+        "ClassSystem.contains_float", "ClassSystem.contains_str"])
 def test_sizes_must_be_integers(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
@@ -207,7 +220,8 @@ def _union_by_crt(k: int) -> Fraction:
     """The union density by inclusion-exclusion over explicit intersections:
     each subset's class is built by CRT on (r, m), and an empty one prunes
     its subtree."""
-    classes = sorted({(c.m, c.r) for b in range(2, k + 1) for c in pp.sb_class_system(b).classes})
+    systems = map(pp.sb_class_system, range(2, k + 1))
+    classes = sorted({c for s in systems for c in zip(s.moduli, s.residues)})
     period = lcm(*(m for m, _ in classes))
 
     def walk(start, r, m):

@@ -67,6 +67,24 @@ def test_oracles_import_no_library_kernel():
     assert _package_imports(ROOT / "tests" / "oracles.py") == {"arith"}
 
 
+def test_density_imports_no_sieve():
+    # class systems are integer columns, not sieve.ResidueClass objects
+    assert _package_imports(SRC / "density.py") == {"arith", "bulk", "errors"}
+
+
+def test_class_system_shares_no_code_with_gb_listing():
+    # test_class_system_density_equals_formula_to_2000 compares
+    # sb_class_system with sb_density, which reads _gb_components, so the
+    # two listings of G_b must not share it; the orders come from one
+    # powmod_vector per divisor of lambda0, not per-unit scalar orders
+    tree = ast.parse((SRC / "density.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "sb_class_system")
+    read = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    read |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert not read & {"_gb_components", "multiplicative_order", "ResidueClass"}
+
+
 def test_modules_import_only_lower_layers():
     for module, layer in LAYER.items():
         for imported in _package_imports(SRC / f"{module}.py"):

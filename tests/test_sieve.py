@@ -583,6 +583,8 @@ def test_tables_reject_bad_limits_and_values(call):
     lambda: pp.CountTable.from_values(2, 4, [10], [341], [(2.5, 3)]),
     lambda: pp.count_psp_table(2, 4, [100]).count(1.5),
     lambda: pp.ResidueClass(1.5, 4),
+    lambda: pp.ResidueClass(2, 4).contains(6.0),
+    lambda: pp.ResidueClass(2, 4).contains("6"),
     lambda: pp.is_fermat_psp(341.0, 2),
     lambda: pp.psp_criterion(341.0, 2),
     lambda: arith.powmod(2, 3, 5.0),
@@ -600,6 +602,7 @@ def test_tables_reject_bad_limits_and_values(call):
         "count_psp_table_limit", "count_psp_in_classes", "count_psp_in_classes_segment",
         "scan_empty_classes", "class_conditions", "ingest_psp_list", "from_values_value",
         "from_values_coverage", "CountTable.count", "ResidueClass",
+        "ResidueClass.contains_float", "ResidueClass.contains_str",
         "is_fermat_psp", "psp_criterion", "powmod", "coprime_part", "multiplicative_order",
         "is_prime", "jacobi", "euler_phi", "tau", "carmichael_lambda", "F", "D",
         "is_carmichael"])
